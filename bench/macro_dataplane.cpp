@@ -1,24 +1,18 @@
-// Macro dataplane benchmark for the pod-sharded parallel engine: end-to-end
-// packet-hops per second of wall-clock time on a fat-tree carrying MIC
-// channels, swept over shard counts.
+// Macro dataplane benchmark: end-to-end packet-hops per second of
+// wall-clock time on a fat-tree carrying MIC channels.
 //
-// The workload is the steady-state forwarding regime the sharded engine is
-// built for: channels are established serially (control traffic must stay
-// in the exact interleave), a warm-up transfer fills TCP windows and the
-// per-thread payload arenas, then the measured bulk phase runs with
-// conservative-lookahead windows enabled.  The bench reports the arena
-// counters across the measured phase -- steady-state slicing must allocate
-// nothing (`arena_allocs` stays 0 while `arena_reuses` grows).
+// The workload is steady-state bulk forwarding: channels are established,
+// a warm-up transfer fills TCP windows and the payload arena, then the
+// measured bulk phase runs.  The bench reports the arena counters across
+// the measured phase -- steady-state slicing must allocate nothing
+// (`arena_allocs` stays 0 while `arena_reuses` grows).
 //
 //   --smoke               tiny k=4 run + invariant checks (CI)
-//   --shards N            single run at N shards (default sweep 1,2,4)
 //   --k N                 fat-tree arity (default 8)
-//   --threads N           worker threads (default 1 = cooperative windows)
 //   --flows N             concurrent MIC channels (default 8)
 //   --mb N                MiB per flow in the measured phase (default 4)
-//   --reps N              best-of-N per configuration (noise control)
-//   --min_speedup X       exit 1 unless best-sharded/single pps >= X
-//   --sweep_json PATH     write the sweep as JSON (BENCH_parallel.json)
+//   --reps N              best-of-N (noise control)
+//   --json PATH           write the best run as JSON
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,9 +38,6 @@ using mic::core::MicServer;
 
 struct RunConfig {
   int k = 8;
-  int shards = 1;
-  int threads = 1;
-  bool parallel = false;
   int flows = 8;
   std::uint64_t bytes_per_flow = 4ull << 20;
   std::uint64_t seed = 42;
@@ -58,9 +49,6 @@ struct RunResult {
   double pps = 0.0;            // packet-hops per wall-clock second
   std::uint64_t packets = 0;   // packet-hops in the measured phase
   std::uint64_t sim_ns = 0;    // simulated time the phase covered
-  std::uint64_t windows = 0;
-  std::uint64_t window_events = 0;
-  std::uint64_t serial_events = 0;
   std::uint64_t arena_allocs = 0;  // heap allocations in the measured phase
   std::uint64_t arena_reuses = 0;  // arena refills in the measured phase
 };
@@ -80,20 +68,16 @@ RunResult run_one(const RunConfig& config) {
   FabricOptions options;
   options.k = config.k;
   options.seed = config.seed;
-  options.sim_shards = config.shards;
-  options.sim_threads = config.threads;
-  options.sim_parallel = false;  // establishment stays serial-exact
   Fabric fabric(options);
   auto& simulator = fabric.simulator();
 
   // Clients in the lower half of the pods, servers in the upper half:
   // every channel crosses pods, so the bulk phase exercises edge,
-  // aggregation AND core links across shard boundaries.
+  // aggregation AND core links.
   const std::size_t hosts = fabric.host_count();
   std::vector<std::unique_ptr<MicServer>> servers;
   std::vector<std::unique_ptr<MicChannel>> channels;
   std::vector<std::unique_ptr<mic::transport::BulkSink>> sinks;
-  std::vector<std::unique_ptr<mic::transport::BulkSender>> senders;
   // Warm-up must reach the measured phase's in-flight high-water mark or
   // the arena pool keeps growing (= allocating) into the measurement.
   const std::uint64_t warm_bytes =
@@ -128,14 +112,12 @@ RunResult run_one(const RunConfig& config) {
   }
 
   // Warm-up: fill TCP windows, fault in server channels, charge the
-  // payload arenas so the measured phase sees the steady state.
+  // payload arena so the measured phase sees the steady state.
   for (const auto& channel : channels) {
     channel->send(mic::transport::Chunk::virtual_bytes(warm_bytes));
   }
   simulator.run_until();
 
-  if (config.parallel) fabric.sharded().set_parallel_enabled(true);
-  const auto stats_before = fabric.sharded().stats();
   const auto arena_before = mic::transport::PayloadArena::local().stats();
   const std::uint64_t packets_before = total_link_packets(fabric.network());
   const std::uint64_t sim_before = simulator.now();
@@ -147,8 +129,6 @@ RunResult run_one(const RunConfig& config) {
   }
   simulator.run_until();
   const auto wall_end = std::chrono::steady_clock::now();
-  // Teardown (channel close control messages) must not run inside windows.
-  fabric.sharded().set_parallel_enabled(false);
 
   if (sinks.size() != static_cast<std::size_t>(config.flows)) {
     std::fprintf(stderr, "macro_dataplane: only %zu/%d channels delivered\n",
@@ -162,7 +142,6 @@ RunResult run_one(const RunConfig& config) {
     }
   }
 
-  const auto stats_after = fabric.sharded().stats();
   const auto arena_after = mic::transport::PayloadArena::local().stats();
   result.packets = total_link_packets(fabric.network()) - packets_before;
   result.sim_ns = simulator.now() - sim_before;
@@ -171,62 +150,49 @@ RunResult run_one(const RunConfig& config) {
   result.pps = result.wall_s > 0
                    ? static_cast<double>(result.packets) / result.wall_s
                    : 0.0;
-  result.windows = stats_after.windows - stats_before.windows;
-  result.window_events = stats_after.window_events - stats_before.window_events;
-  result.serial_events = stats_after.serial_events - stats_before.serial_events;
   result.arena_allocs = arena_after.allocations - arena_before.allocations;
   result.arena_reuses = arena_after.reuses - arena_before.reuses;
   result.ok = true;
   return result;
 }
 
-void print_result(const RunConfig& config, const RunResult& result) {
+void print_result(const RunResult& result) {
   std::printf(
-      "shards=%d threads=%d parallel=%d  pps=%.0f  packets=%llu  wall=%.3fs  "
-      "windows=%llu  window_events=%llu  serial_events=%llu  "
-      "arena_allocs=%llu  arena_reuses=%llu\n",
-      config.shards, config.threads, config.parallel ? 1 : 0, result.pps,
-      static_cast<unsigned long long>(result.packets), result.wall_s,
-      static_cast<unsigned long long>(result.windows),
-      static_cast<unsigned long long>(result.window_events),
-      static_cast<unsigned long long>(result.serial_events),
+      "pps=%.0f  packets=%llu  wall=%.3fs  sim=%.3fms  arena_allocs=%llu  "
+      "arena_reuses=%llu\n",
+      result.pps, static_cast<unsigned long long>(result.packets),
+      result.wall_s, static_cast<double>(result.sim_ns) / 1e6,
       static_cast<unsigned long long>(result.arena_allocs),
       static_cast<unsigned long long>(result.arena_reuses));
 }
 
 int run_smoke() {
-  // Tiny but complete: single engine vs 4 pod shards with cooperative
-  // windows on a k=4 fabric, checking the invariants CI cares about.
+  // Tiny but complete: the same k=4 run twice in one process.  The two
+  // runs must move the exact same packets in the same simulated time
+  // (SIM-1 determinism), and the second, which starts with a warm
+  // payload arena, must not allocate in its steady state.
   RunConfig config;
   config.k = 4;
   config.flows = 4;
   config.bytes_per_flow = 1 << 20;
 
-  config.shards = 1;
-  const RunResult single = run_one(config);
-  config.shards = 4;
-  config.parallel = true;
-  const RunResult sharded = run_one(config);
-  print_result({.k = 4, .shards = 1}, single);
-  print_result(config, sharded);
-  if (!single.ok || !sharded.ok) return 1;
-  if (sharded.windows == 0 || sharded.window_events == 0) {
-    std::fprintf(stderr, "smoke: no parallel windows executed\n");
+  const RunResult first = run_one(config);
+  const RunResult second = run_one(config);
+  print_result(first);
+  print_result(second);
+  if (!first.ok || !second.ok) return 1;
+  if (first.packets != second.packets || first.sim_ns != second.sim_ns) {
+    std::fprintf(stderr,
+                 "smoke: repeated run diverged (%llu vs %llu packet-hops)\n",
+                 static_cast<unsigned long long>(first.packets),
+                 static_cast<unsigned long long>(second.packets));
     return 1;
   }
-  if (single.packets != sharded.packets) {
-    // Same fabric, same seed, loss-free: the packet-hop count must agree
-    // even though same-nanosecond cross-shard ties may reorder.
-    std::fprintf(stderr, "smoke: packet-hop counts diverged (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(single.packets),
-                 static_cast<unsigned long long>(sharded.packets));
-    return 1;
-  }
-  if (sharded.arena_allocs != 0 || sharded.arena_reuses == 0) {
+  if (second.arena_allocs != 0 || second.arena_reuses == 0) {
     std::fprintf(stderr,
                  "smoke: steady state allocated (%llu allocs, %llu reuses)\n",
-                 static_cast<unsigned long long>(sharded.arena_allocs),
-                 static_cast<unsigned long long>(sharded.arena_reuses));
+                 static_cast<unsigned long long>(second.arena_allocs),
+                 static_cast<unsigned long long>(second.arena_reuses));
     return 1;
   }
   std::printf("smoke OK\n");
@@ -237,11 +203,9 @@ int run_smoke() {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int only_shards = 0;
   int reps = 1;
-  double min_speedup = 0.0;
-  std::string sweep_json;
-  RunConfig base;
+  std::string json;
+  RunConfig config;
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -252,23 +216,17 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      only_shards = std::atoi(next("--shards"));
     } else if (std::strcmp(argv[i], "--k") == 0) {
-      base.k = std::atoi(next("--k"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      base.threads = std::atoi(next("--threads"));
+      config.k = std::atoi(next("--k"));
     } else if (std::strcmp(argv[i], "--flows") == 0) {
-      base.flows = std::atoi(next("--flows"));
+      config.flows = std::atoi(next("--flows"));
     } else if (std::strcmp(argv[i], "--mb") == 0) {
-      base.bytes_per_flow =
+      config.bytes_per_flow =
           static_cast<std::uint64_t>(std::atoi(next("--mb"))) << 20;
     } else if (std::strcmp(argv[i], "--reps") == 0) {
       reps = std::max(1, std::atoi(next("--reps")));
-    } else if (std::strcmp(argv[i], "--min_speedup") == 0) {
-      min_speedup = std::atof(next("--min_speedup"));
-    } else if (std::strcmp(argv[i], "--sweep_json") == 0) {
-      sweep_json = next("--sweep_json");
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      json = next("--json");
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -276,89 +234,42 @@ int main(int argc, char** argv) {
   }
   if (smoke) return run_smoke();
 
-  std::vector<int> shard_counts = {1, 2, 4};
-  if (only_shards > 0) shard_counts = {only_shards};
-
-  std::printf("# macro_dataplane: k=%d, %d MIC channels, %llu MiB each, "
-              "threads=%d\n",
-              base.k, base.flows,
-              static_cast<unsigned long long>(base.bytes_per_flow >> 20),
-              base.threads);
-  std::vector<std::pair<RunConfig, RunResult>> rows;
-  for (const int shards : shard_counts) {
-    RunConfig config = base;
-    config.shards = shards;
-    config.parallel = shards > 1;
-    RunResult best;
-    for (int rep = 0; rep < reps; ++rep) {
-      const RunResult result = run_one(config);
-      if (!result.ok) return 1;
-      if (result.pps > best.pps) best = result;
-      best.ok = true;
-    }
-    print_result(config, best);
-    rows.push_back({config, best});
+  std::printf("# macro_dataplane: k=%d, %d MIC channels, %llu MiB each\n",
+              config.k, config.flows,
+              static_cast<unsigned long long>(config.bytes_per_flow >> 20));
+  RunResult best;
+  for (int rep = 0; rep < reps; ++rep) {
+    const RunResult result = run_one(config);
+    if (!result.ok) return 1;
+    if (result.pps > best.pps) best = result;
   }
+  print_result(best);
 
-  const double single_pps = rows.front().second.pps;
-  double best_pps = 0.0;
-  for (const auto& [config, result] : rows) {
-    if (config.shards > 1) best_pps = std::max(best_pps, result.pps);
-  }
-  if (rows.size() > 1 && single_pps > 0) {
-    std::printf("# best sharded speedup: %.2fx\n", best_pps / single_pps);
-  }
-
-  if (!sweep_json.empty()) {
-    std::FILE* f = std::fopen(sweep_json.c_str(), "w");
+  if (!json.empty()) {
+    std::FILE* f = std::fopen(json.c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", sweep_json.c_str());
+      std::fprintf(stderr, "cannot write %s\n", json.c_str());
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"macro_dataplane\",\n");
-    std::fprintf(f, "  \"k\": %d,\n  \"flows\": %d,\n", base.k, base.flows);
+    std::fprintf(f, "  \"k\": %d,\n  \"flows\": %d,\n", config.k,
+                 config.flows);
     std::fprintf(f, "  \"bytes_per_flow\": %llu,\n",
-                 static_cast<unsigned long long>(base.bytes_per_flow));
-    std::fprintf(f, "  \"threads\": %d,\n", base.threads);
+                 static_cast<unsigned long long>(config.bytes_per_flow));
+    std::fprintf(f, "  \"reps\": %d,\n", reps);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& [config, result] = rows[i];
-      std::fprintf(
-          f,
-          "    {\"shards\": %d, \"parallel\": %s, \"pps\": %.0f, "
-          "\"packets\": %llu, \"wall_s\": %.6f, \"sim_ns\": %llu, "
-          "\"windows\": %llu, \"window_events\": %llu, "
-          "\"serial_events\": %llu, \"arena_allocs\": %llu, "
-          "\"arena_reuses\": %llu}%s\n",
-          config.shards, config.parallel ? "true" : "false", result.pps,
-          static_cast<unsigned long long>(result.packets), result.wall_s,
-          static_cast<unsigned long long>(result.sim_ns),
-          static_cast<unsigned long long>(result.windows),
-          static_cast<unsigned long long>(result.window_events),
-          static_cast<unsigned long long>(result.serial_events),
-          static_cast<unsigned long long>(result.arena_allocs),
-          static_cast<unsigned long long>(result.arena_reuses),
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_best\": %.4f\n}\n",
-                 single_pps > 0 ? best_pps / single_pps : 0.0);
+    std::fprintf(
+        f,
+        "  \"pps\": %.0f,\n  \"packets\": %llu,\n  \"wall_s\": %.6f,\n"
+        "  \"sim_ns\": %llu,\n  \"arena_allocs\": %llu,\n"
+        "  \"arena_reuses\": %llu\n}\n",
+        best.pps, static_cast<unsigned long long>(best.packets), best.wall_s,
+        static_cast<unsigned long long>(best.sim_ns),
+        static_cast<unsigned long long>(best.arena_allocs),
+        static_cast<unsigned long long>(best.arena_reuses));
     std::fclose(f);
-    std::printf("# wrote %s\n", sweep_json.c_str());
-  }
-
-  if (min_speedup > 0) {
-    if (rows.size() < 2 || single_pps <= 0) {
-      std::fprintf(stderr, "--min_speedup needs a sweep with shards=1\n");
-      return 2;
-    }
-    if (best_pps / single_pps < min_speedup) {
-      std::fprintf(stderr, "speedup %.2fx below required %.2fx\n",
-                   best_pps / single_pps, min_speedup);
-      return 1;
-    }
+    std::printf("# wrote %s\n", json.c_str());
   }
   return 0;
 }

@@ -13,10 +13,7 @@
 # the suite constructs its PathEngine through the multi-threaded warm-up
 # path (ControllerConfig::effective_warmup_threads honours the override),
 # putting the rows_mu_-guarded cache under real contention instead of only
-# in the handful of tests that opt in.  It also exports MIC_SIM_SHARDS=4 so
-# every default-constructed Fabric runs the pod-sharded engine (serial-exact
-# regime), and the sharded-window tests exercise the worker pool under the
-# race detector.
+# in the handful of tests that opt in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,15 +27,10 @@ run_suite() {
 echo "== plain =="
 run_suite build
 
-echo "== perf-regression guards =="
-# The timing wheel must beat the frozen heap engine, and the pod-sharded
-# engine must not regress against the single engine.  Thresholds leave
-# headroom for scheduler noise on loaded single-core CI boxes (the real
-# parallel speedup needs cores; BENCH_parallel.json records the honest
-# sweep) -- a true regression (accidental serialization, coordination on
-# the hot path) lands far below them.
+echo "== perf-regression guard =="
+# The timing wheel must beat the frozen heap engine; the threshold leaves
+# headroom for scheduler noise on loaded CI boxes.
 ./build/bench/micro_sim --min_speedup 1.0
-./build/bench/macro_dataplane --k 4 --flows 4 --mb 2 --reps 3 --min_speedup 0.7
 
 echo "== admission flood guard =="
 # Honest establishment p99 under a 10x flood + slowloris trickle must stay
@@ -52,24 +44,22 @@ echo "== recovery + failover smoke (audit-gated) =="
 # the latency numbers look fine.
 (cd build && ./bench/controller_recovery --smoke)
 
-echo "== soak trace-hash replay (single + 4 shards) =="
+echo "== soak trace-hash replay =="
 # Every seeded chaos / MC-crash / failover soak fingerprint must replay
-# bit-identically against the recorded golden file, on both engines.
+# bit-identically against the recorded golden file.
 scripts/record_trace_hashes.sh verify build
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitized (address,undefined) =="
   run_suite build-asan -DMIC_SANITIZE=address
 
-  echo "== sanitized (thread, warm-up threads >= 4, 4 sim shards) =="
-  MIC_PATH_WARMUP_THREADS=4 MIC_SIM_SHARDS=4 run_suite build-tsan \
-    -DMIC_SANITIZE=thread
+  echo "== sanitized (thread, warm-up threads >= 4) =="
+  MIC_PATH_WARMUP_THREADS=4 run_suite build-tsan -DMIC_SANITIZE=thread
 
-  echo "== flood soak under TSan (sharded attack replay) =="
-  # The admission flood + slowloris soak on the sharded engine under the
-  # race detector: the attack schedule draws all randomness at arm() time,
-  # so the shard pool must replay it bit-identically.
-  MIC_PATH_WARMUP_THREADS=4 MIC_SIM_SHARDS=4 ./build-tsan/tests/mic_tests \
+  echo "== flood soak under TSan =="
+  # The admission flood + slowloris soak under the race detector, with
+  # every controller's PathEngine warmed up by 4 threads.
+  MIC_PATH_WARMUP_THREADS=4 ./build-tsan/tests/mic_tests \
     --gtest_filter='FloodSoak.*'
 
   echo "== scheduler differential, deep (SIM-2 oracle x20k ops/seed) =="

@@ -1,20 +1,14 @@
 #include "core/audit_registry.hpp"
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "core/channel_journal.hpp"
 #include "core/collision_audit.hpp"
 #include "core/mimic_controller.hpp"
-#include "sim/reference_simulator.hpp"
-#include "sim/sharded_simulator.hpp"
-#include "sim/simulator.hpp"
 
 namespace mic::audit {
 
@@ -153,236 +147,6 @@ CheckResult check_path_rows(core::MimicController& mc) {
   return result;
 }
 
-CheckResult check_scheduler_equivalence(core::MimicController&) {
-  // SIM-2: the timing-wheel Simulator agrees with the binary-heap
-  // ReferenceSimulator.  The full oracle lives in
-  // tests/test_simulator_diff.cpp; this is a bounded always-on replica --
-  // a short randomized schedule/cancel/run program driven through both
-  // engines -- so every audit::run_all() call (chaos soaks, recovery
-  // tests, CLI) re-attests the wheel on the exact binary under test.  It
-  // ignores the controller: the scheduler invariant is engine-global.
-  CheckResult result;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    sim::Simulator wheel;
-    sim::ReferenceSimulator ref;
-    std::vector<std::uint64_t> wheel_fired;
-    std::vector<std::uint64_t> ref_fired;
-    std::vector<sim::EventId> wheel_ids;
-    std::vector<sim::EventId> ref_ids;
-    Rng rng(seed * 0x51ED);
-    std::uint64_t token = 0;
-    for (int op = 0; op < 300; ++op) {
-      const std::uint64_t dice = rng.below(100);
-      if (dice < 55) {
-        // Delays spanning level-0 slots, cascades, and the overflow list.
-        std::uint64_t delay = rng.below(64);
-        const std::uint64_t kind = rng.below(10);
-        if (kind >= 4 && kind < 8) delay = rng.below(1'000'000);
-        if (kind >= 8) delay = rng.below(1ULL << 44);
-        const sim::SimTime when = wheel.now() + delay;
-        const std::uint64_t t = token++;
-        wheel_ids.push_back(
-            wheel.schedule_at(when, [&wheel_fired, t] {
-              wheel_fired.push_back(t);
-            }));
-        ref_ids.push_back(ref.schedule_at(when, [&ref_fired, t] {
-          ref_fired.push_back(t);
-        }));
-      } else if (dice < 72 && !wheel_ids.empty()) {
-        const std::size_t pick = rng.below(wheel_ids.size());
-        wheel.cancel(wheel_ids[pick]);  // stale handles included: no-ops
-        ref.cancel(ref_ids[pick]);
-      } else if (dice < 97) {
-        const sim::SimTime horizon = wheel.now() + rng.below(1 << 20);
-        wheel.run_until(horizon);
-        ref.run_until(horizon);
-      } else {
-        wheel.run_until(sim::kNever);
-        ref.run_until(sim::kNever);
-      }
-      ++result.items_checked;
-    }
-    wheel.run_until(sim::kNever);
-    ref.run_until(sim::kNever);
-    if (wheel_fired != ref_fired) {
-      result.violations.push_back(
-          "seed " + std::to_string(seed) + ": firing order diverged (" +
-          std::to_string(wheel_fired.size()) + " wheel vs " +
-          std::to_string(ref_fired.size()) + " reference fires)");
-    }
-    if (wheel.now() != ref.now()) {
-      result.violations.push_back(
-          "seed " + std::to_string(seed) + ": clocks diverged (" +
-          std::to_string(wheel.now()) + " wheel vs " +
-          std::to_string(ref.now()) + " reference)");
-    }
-    if (wheel.events_executed() != ref.events_executed() || !wheel.idle()) {
-      result.violations.push_back("seed " + std::to_string(seed) +
-                                  ": executed counts or idle() diverged");
-    }
-  }
-  result.metrics.emplace_back(
-      "diff_ops", static_cast<std::uint64_t>(result.items_checked));
-  result.ok = result.violations.empty();
-  return result;
-}
-
-CheckResult check_sharded_equivalence(core::MimicController&) {
-  // SIM-3: the pod-sharded coordinator is the single engine, exactly.
-  // Leg A (serial-exact): a randomized program scattered over 3 device
-  // shards plus the global engine -- with callbacks chaining follow-ups
-  // onto OTHER engines -- fires in the identical global order, with
-  // identical clocks and counts, as the same program on one Simulator.
-  // Leg B (parallel windows, cooperative): shard-local event chains
-  // punctuated by global barrier events produce identical per-engine
-  // firing logs with windows enabled and disabled, and at least one
-  // window actually executes.  Ignores the controller: the invariant is
-  // engine-global.
-  CheckResult result;
-  constexpr int kShards = 3;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    sim::Simulator single;
-    sim::ShardedSimulator sharded({.shards = kShards, .threads = 1});
-    std::vector<std::uint64_t> single_fired;
-    std::vector<std::uint64_t> sharded_fired;
-    std::vector<sim::EventId> single_ids;
-    std::vector<sim::EventId> sharded_ids;
-    std::vector<int> sharded_id_home;  // ids are per-engine handles
-    Rng rng(seed * 0x51D3);
-    std::uint64_t token = 0;
-    for (int op = 0; op < 300; ++op) {
-      const std::uint64_t dice = rng.below(100);
-      if (dice < 58) {
-        const int home = static_cast<int>(rng.below(kShards + 1));
-        const int chain_home = (home + 1) % (kShards + 1);
-        std::uint64_t delay = rng.below(64);
-        const std::uint64_t kind = rng.below(10);
-        if (kind >= 5 && kind < 8) delay = rng.below(1'000'000);
-        if (kind >= 8) delay = rng.below(1ULL << 40);
-        const bool chain = rng.below(4) == 0;
-        const std::uint64_t chain_delay = rng.below(1000);
-        const std::uint64_t t = token++;
-        single_ids.push_back(single.schedule_at(
-            single.now() + delay,
-            [&single, &single_fired, t, chain, chain_delay] {
-              single_fired.push_back(t);
-              if (chain) {
-                single.schedule_at(single.now() + chain_delay,
-                                   [&single_fired, t] {
-                                     single_fired.push_back(t | (1ULL << 63));
-                                   });
-              }
-            }));
-        sim::Simulator& engine = sharded.engine(home);
-        sim::Simulator& chain_engine = sharded.engine(chain_home);
-        sharded_id_home.push_back(home);
-        sharded_ids.push_back(engine.schedule_at(
-            engine.now() + delay,
-            [&chain_engine, &sharded_fired, t, chain, chain_delay] {
-              sharded_fired.push_back(t);
-              if (chain) {
-                // Cross-engine child relative to now(): clock alignment
-                // before every serial-exact fire makes this legal.
-                chain_engine.schedule_at(
-                    chain_engine.now() + chain_delay, [&sharded_fired, t] {
-                      sharded_fired.push_back(t | (1ULL << 63));
-                    });
-              }
-            }));
-      } else if (dice < 72 && !single_ids.empty()) {
-        const std::size_t pick = rng.below(single_ids.size());
-        single.cancel(single_ids[pick]);  // stale handles included: no-ops
-        sharded.engine(sharded_id_home[pick]).cancel(sharded_ids[pick]);
-      } else if (dice < 97) {
-        const sim::SimTime horizon = single.now() + rng.below(1 << 20);
-        single.run_until(horizon);
-        sharded.global().run_until(horizon);
-      } else {
-        single.run_until(sim::kNever);
-        sharded.global().run_until(sim::kNever);
-      }
-      ++result.items_checked;
-    }
-    single.run_until(sim::kNever);
-    sharded.global().run_until(sim::kNever);
-    if (single_fired != sharded_fired) {
-      result.violations.push_back(
-          "seed " + std::to_string(seed) + ": firing order diverged (" +
-          std::to_string(single_fired.size()) + " single vs " +
-          std::to_string(sharded_fired.size()) + " sharded fires)");
-    }
-    if (single.now() != sharded.global().now()) {
-      result.violations.push_back(
-          "seed " + std::to_string(seed) + ": clocks diverged (" +
-          std::to_string(single.now()) + " single vs " +
-          std::to_string(sharded.global().now()) + " sharded global)");
-    }
-    std::uint64_t sharded_executed = 0;
-    for (int e = 0; e <= kShards; ++e) {
-      sharded_executed += sharded.engine(e).events_executed();
-    }
-    if (single.events_executed() != sharded_executed ||
-        !sharded.global().idle()) {
-      result.violations.push_back(std::to_string(seed) +
-                                  ": executed counts or idle() diverged");
-    }
-  }
-
-  // Leg B: the same workload with conservative-lookahead windows enabled
-  // must produce the identical per-engine firing log as with them off.
-  // Each shard runs a self-chaining event train (rescheduling DURING the
-  // window exercises the strided seq ranges); the global engine fires
-  // sparse punctuation events that bound every window.
-  auto run_leg_b = [](bool parallel, std::uint64_t* windows) {
-    sim::ShardedSimulator sharded({.shards = kShards, .threads = 1});
-    sharded.set_lookahead(5'000);  // ns, the usual propagation delay
-    sharded.set_parallel_enabled(parallel);
-    std::array<std::vector<sim::SimTime>, kShards + 1> logs;
-    std::vector<std::unique_ptr<std::function<void()>>> keepers;
-    for (int s = 0; s < kShards; ++s) {
-      sim::Simulator& engine = sharded.engine(s);
-      auto fn = std::make_unique<std::function<void()>>();
-      auto left = std::make_shared<int>(400);
-      std::function<void()>* fp = fn.get();
-      std::vector<sim::SimTime>* log = &logs[static_cast<std::size_t>(s)];
-      const sim::SimTime delta = 100 + static_cast<sim::SimTime>(s) * 37;
-      *fp = [&engine, log, delta, left, fp] {
-        log->push_back(engine.now());
-        if (--*left > 0) engine.schedule_in(delta, *fp);
-      };
-      engine.schedule_in(delta, *fp);
-      keepers.push_back(std::move(fn));
-    }
-    for (int g = 1; g <= 5; ++g) {
-      sharded.global().schedule_at(
-          static_cast<sim::SimTime>(g) * 9'000,
-          [&sharded, &logs] { logs[kShards].push_back(sharded.global().now()); });
-    }
-    sharded.global().run_until(sim::kNever);
-    *windows = sharded.stats().windows;
-    return logs;
-  };
-  std::uint64_t serial_windows = 0;
-  std::uint64_t parallel_windows = 0;
-  const auto serial_logs = run_leg_b(false, &serial_windows);
-  const auto parallel_logs = run_leg_b(true, &parallel_windows);
-  if (serial_logs != parallel_logs) {
-    result.violations.push_back(
-        "parallel windows diverged from serial-exact per-engine logs");
-  }
-  if (parallel_windows == 0) {
-    result.violations.push_back(
-        "parallel leg executed no windows (lookahead machinery inert)");
-  }
-  result.items_checked += static_cast<std::uint64_t>(kShards) * 400 + 5;
-  result.metrics.emplace_back("parallel_windows", parallel_windows);
-
-  result.metrics.emplace_back(
-      "diff_ops", static_cast<std::uint64_t>(result.items_checked));
-  result.ok = result.violations.empty();
-  return result;
-}
-
 CheckResult check_admission_conservation(core::MimicController& mc) {
   // AC-1: queued + admitted + shed == offered, and no tenant exceeds its
   // quota.  Concretely: (a) every offered establish is accounted exactly
@@ -499,10 +263,6 @@ Registry::Registry() {
       check_recovery_consistency);
   add("RC-2", "controller-generation (failover) consistency",
       check_failover_consistency);
-  add("SIM-2", "timing-wheel / reference-scheduler equivalence",
-      check_scheduler_equivalence);
-  add("SIM-3", "sharded / single-engine equivalence",
-      check_sharded_equivalence);
   add("AC-1", "control-plane admission conservation",
       check_admission_conservation);
 }

@@ -73,8 +73,8 @@ class Registry {
  public:
   using CheckFn = std::function<CheckResult(core::MimicController&)>;
 
-  /// The process-wide registry, with the four built-in invariants (FT-1,
-  /// CA-1, PE-1, FD-1) already registered.
+  /// The process-wide registry, with the seven built-in invariants (FT-1,
+  /// CA-1, PE-1, FD-1, RC-1, RC-2, AC-1) already registered.
   static Registry& instance();
 
   /// Register an invariant.  `fn` fills ok/items_checked/violations; id

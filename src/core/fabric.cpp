@@ -1,63 +1,27 @@
 #include "core/fabric.hpp"
 
-#include <cstdlib>
-
 #include "switchd/sdn_switch.hpp"
 
 namespace mic::core {
 
 namespace {
 
-int env_int(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) return std::atoi(env);
-  return fallback;
-}
-
-sim::ShardedOptions resolve_sharding(const FabricOptions& options) {
-  sim::ShardedOptions out;
-  out.shards = options.sim_shards > 0 ? options.sim_shards
-                                      : env_int("MIC_SIM_SHARDS", 1);
-  out.threads = options.sim_threads > 0 ? options.sim_threads
-                                        : env_int("MIC_SIM_THREADS", 0);
-  return out;
-}
-
-bool resolve_parallel(const FabricOptions& options) {
-  return options.sim_parallel || env_int("MIC_SIM_PARALLEL", 0) != 0;
-}
-
-/// Deterministic shard for nodes without a pod (core switches, arbitrary
-/// topologies): splitmix64 finalizer on the node id.
-int hash_shard(topo::NodeId node, int shards) {
-  std::uint64_t x = static_cast<std::uint64_t>(node) + 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return static_cast<int>(x % static_cast<std::uint64_t>(shards));
+/// The leftover engine options only accept the serial engine's values.
+void assert_serial_engine(const FabricOptions& options) {
+  constexpr const char* kRemoved = "the pod-sharded engine was removed";
+  MIC_ASSERT_MSG(options.sim_shards <= 1, kRemoved);
+  MIC_ASSERT_MSG(options.sim_threads <= 1, kRemoved);
+  MIC_ASSERT_MSG(!options.sim_parallel, kRemoved);
 }
 
 }  // namespace
 
 Fabric::Fabric(FabricOptions options)
     : options_(options),
-      sharded_(resolve_sharding(options)),
       fattree_(options.k),
-      network_(sharded_, fattree_.graph(), options.link),
+      network_(simulator_, fattree_.graph(), options.link),
       rng_(options.seed) {
-  if (sharded_.coordinated()) {
-    // Pod-sharded partition: a pod's edge/agg switches and hosts share a
-    // shard (pods are where the traffic locality is); core switches have
-    // no pod and spread deterministically by hash.  Installed before any
-    // set_device so devices cache their shard engine.
-    std::vector<int> shard_of(fattree_.graph().size());
-    for (topo::NodeId n = 0; n < fattree_.graph().size(); ++n) {
-      const int pod = fattree_.pod_of(n);
-      shard_of[n] = pod >= 0 ? pod % sharded_.shards()
-                             : hash_shard(n, sharded_.shards());
-    }
-    network_.set_shard_map(shard_of);
-    sharded_.set_parallel_enabled(resolve_parallel(options_));
-  }
+  assert_serial_engine(options_);
   ctrl::HostAddressing addressing;
   for (const topo::NodeId sw : fattree_.graph().switches()) {
     network_.set_device(sw, std::make_unique<switchd::SdnSwitch>());
@@ -84,19 +48,10 @@ GenericFabric::GenericFabric(
     const topo::Graph& graph,
     std::vector<std::pair<topo::NodeId, net::Ipv4>> host_addrs,
     FabricOptions options)
-    : sharded_(resolve_sharding(options)),
-      host_addrs_(std::move(host_addrs)),
-      network_(sharded_, graph, options.link),
+    : host_addrs_(std::move(host_addrs)),
+      network_(simulator_, graph, options.link),
       rng_(options.seed) {
-  if (sharded_.coordinated()) {
-    // No pod structure to exploit: every node spreads by hash.
-    std::vector<int> shard_of(graph.size());
-    for (topo::NodeId n = 0; n < graph.size(); ++n) {
-      shard_of[n] = hash_shard(n, sharded_.shards());
-    }
-    network_.set_shard_map(shard_of);
-    sharded_.set_parallel_enabled(resolve_parallel(options));
-  }
+  assert_serial_engine(options);
   ctrl::HostAddressing addressing;
   for (const topo::NodeId sw : graph.switches()) {
     network_.set_device(sw, std::make_unique<switchd::SdnSwitch>());

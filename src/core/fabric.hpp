@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "core/mimic_controller.hpp"
-#include "sim/sharded_simulator.hpp"
+#include "sim/simulator.hpp"
 #include "topology/fattree.hpp"
 #include "transport/tcp.hpp"
 
@@ -21,17 +21,12 @@ struct FabricOptions {
   MicConfig mic;
   ctrl::ControllerConfig controller;
   bool install_default_routing = true;
-  /// Device shards for the pod-sharded simulation engine.  0 = take the
-  /// MIC_SIM_SHARDS environment variable (default 1: single engine).
-  /// Devices map shard = pod % shards; core switches hash deterministically.
+  /// Leftovers of the removed pod-sharded engine: the simulation is always
+  /// one serial engine, and the fabric constructors assert shards <= 1,
+  /// threads <= 1 and !parallel.  They stay only because the benchmark
+  /// pins them; they go when the benchmark is next revised.
   int sim_shards = 0;
-  /// Worker threads for parallel windows.  0 = MIC_SIM_THREADS env, else
-  /// auto (hardware concurrency; 1 thread = cooperative windows).
   int sim_threads = 0;
-  /// Enable conservative-lookahead parallel windows.  Off by default: the
-  /// serial-exact interleave is always bit-identical to a single engine;
-  /// windows additionally trade same-nanosecond cross-shard tie order and
-  /// are what the throughput benches opt into (or MIC_SIM_PARALLEL=1).
   bool sim_parallel = false;
 };
 
@@ -39,9 +34,7 @@ class Fabric {
  public:
   explicit Fabric(FabricOptions options = {});
 
-  /// The global/control engine; `run_until` on it drives every shard.
-  sim::Simulator& simulator() noexcept { return sharded_.global(); }
-  sim::ShardedSimulator& sharded() noexcept { return sharded_; }
+  sim::Simulator& simulator() noexcept { return simulator_; }
   const topo::FatTree& fattree() const noexcept { return fattree_; }
   net::Network& network() noexcept { return network_; }
   MimicController& mc() noexcept { return *mc_; }
@@ -57,7 +50,7 @@ class Fabric {
 
  private:
   FabricOptions options_;
-  sim::ShardedSimulator sharded_;
+  sim::Simulator simulator_;
   topo::FatTree fattree_;
   net::Network network_;
   Rng rng_;
@@ -76,8 +69,7 @@ class GenericFabric {
                 std::vector<std::pair<topo::NodeId, net::Ipv4>> host_addrs,
                 FabricOptions options = {});
 
-  sim::Simulator& simulator() noexcept { return sharded_.global(); }
-  sim::ShardedSimulator& sharded() noexcept { return sharded_; }
+  sim::Simulator& simulator() noexcept { return simulator_; }
   net::Network& network() noexcept { return network_; }
   MimicController& mc() noexcept { return *mc_; }
   Rng& rng() noexcept { return rng_; }
@@ -88,7 +80,7 @@ class GenericFabric {
   topo::NodeId host_node(std::size_t i) const { return host_addrs_[i].first; }
 
  private:
-  sim::ShardedSimulator sharded_;
+  sim::Simulator simulator_;
   std::vector<std::pair<topo::NodeId, net::Ipv4>> host_addrs_;
   net::Network network_;
   Rng rng_;

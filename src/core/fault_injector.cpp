@@ -169,7 +169,7 @@ void FaultInjector::arm() {
   // same append-only rule as the MC crashes): enabling the flood or the
   // slow-client trickle never perturbs an existing seed's fault schedule.
   // All randomness is drawn here at arm() time -- the scheduled callbacks
-  // touch no rng, so the attack replays bit-identically under sharding.
+  // touch no rng, so the attack schedule is fixed once armed.
   if (options_.establish_floods > 0 || options_.slow_client_sessions > 0) {
     std::vector<topo::NodeId> hosts = graph.hosts();
     MIC_ASSERT(!hosts.empty());

@@ -55,8 +55,6 @@ Simulator::Node* Simulator::lookup(EventId id) const {
 }
 
 void Simulator::cancel(EventId id) {
-  MIC_ASSERT_MSG(!frozen_, "cancel on a frozen engine (cross-shard cancel "
-                           "during a parallel window)");
   Node* node = lookup(id);
   if (node == nullptr) return;  // never scheduled, fired, or done
   release_node(node);  // gen bump turns the slot entry into a tombstone
@@ -243,108 +241,17 @@ Simulator::Node* Simulator::pop_next(SimTime limit) {
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
-  // A coordinated engine hands the whole run to the ShardedSimulator: the
-  // fabric-facing engine is just one voice in a multi-engine interleave.
-  if (coordinator_ != nullptr) return coordinator_->coordinate_run(deadline);
-  return run_until_local(deadline);
-}
-
-void Simulator::fire_node(Node* node) {
-  // The node is unlinked but NOT yet recycled while its callback runs:
-  // re-entrant schedule_at() calls allocate other nodes, and a re-entrant
-  // cancel() of this very id is rejected by the kFiring state.
-  node->state = kFiring;
-  --live_events_;
-  ++executed_;
-  ++stats_.fired;
-  callback_of(node)();
-  release_node(node);
-}
-
-bool Simulator::fire_next(SimTime limit) {
-  Node* node = pop_next(limit);
-  if (node == nullptr) return false;
-  fire_node(node);
-  return true;
-}
-
-void Simulator::finish_drain() {
-  MIC_ASSERT_MSG(live_events_ == 0, "finish_drain with live events pending");
-  reset_empty_wheel();
-}
-
-std::optional<Simulator::PeekInfo> Simulator::peek_next() const {
-  // Read-only mirror of pop_next's search order.  It must not cascade:
-  // pop_next may legally advance cursor_ while hunting, but a peek runs
-  // while other engines still own the present, and moving the cursor past
-  // a now_ that is about to be advanced would strand later schedule_at
-  // calls in the wheel's past (the PR-6 cursor-overshoot bug).
-  //
-  // Level 0 first: every entry in a level-0 slot shares one timestamp (a
-  // slot spans 1 ns and holds current-rotation events only -- a different
-  // rotation differs in a bit >= 6 and files at level >= 1), and slot-local
-  // FIFO is insertion order, so the first live entry of the lowest occupied
-  // slot at/after the cursor digit is the engine's earliest event.
-  {
-    const auto cur = static_cast<std::uint32_t>(cursor_ & (kSlotsPerLevel - 1));
-    std::uint64_t mask = occupied_[0] & (~0ULL << cur);
-    while (mask != 0) {
-      const int slot = std::countr_zero(mask);
-      const Slot& s = wheel_[0][slot];
-      for (std::size_t i = s.next; i < s.entries.size(); ++i) {
-        if (entry_live(s.entries[i])) {
-          return PeekInfo{s.entries[i].when,
-                          node_at(s.entries[i].index)->seq};
-        }
-      }
-      mask &= mask - 1;
-    }
-  }
-  // Higher levels: the first level with a live entry owns the minimum (a
-  // live event on level l+1 starts at or after the end of every level-l
-  // range at/after the cursor digit).  Within the winning slot entries are
-  // not time-sorted, so take the explicit (when, seq) minimum over the
-  // whole slot -- seq is unique, so the order is total.
-  for (int level = 1; level < kLevels; ++level) {
-    const auto cur = static_cast<std::uint32_t>(
-        (cursor_ >> (level * kSlotBits)) & (kSlotsPerLevel - 1));
-    std::uint64_t mask = occupied_[level] & (~0ULL << cur);
-    std::optional<PeekInfo> best;
-    while (mask != 0) {
-      const int slot = std::countr_zero(mask);
-      const Slot& s = wheel_[level][slot];
-      for (std::size_t i = s.next; i < s.entries.size(); ++i) {
-        if (!entry_live(s.entries[i])) continue;
-        const PeekInfo candidate{s.entries[i].when,
-                                 node_at(s.entries[i].index)->seq};
-        if (!best || candidate.when < best->when ||
-            (candidate.when == best->when && candidate.seq < best->seq)) {
-          best = candidate;
-        }
-      }
-      if (best) return best;  // earlier slots in this level beat later ones
-      mask &= mask - 1;       // all-tombstone slot: keep scanning the level
-    }
-  }
-  // Overflow: unordered, and everything in it is >= cursor_ + 2^48, i.e.
-  // after anything fileable in the wheel -- scan for the explicit minimum.
-  std::optional<PeekInfo> best;
-  for (std::size_t i = overflow_.next; i < overflow_.entries.size(); ++i) {
-    if (!entry_live(overflow_.entries[i])) continue;
-    const PeekInfo candidate{overflow_.entries[i].when,
-                             node_at(overflow_.entries[i].index)->seq};
-    if (!best || candidate.when < best->when ||
-        (candidate.when == best->when && candidate.seq < best->seq)) {
-      best = candidate;
-    }
-  }
-  return best;
-}
-
-std::uint64_t Simulator::run_until_local(SimTime deadline) {
   std::uint64_t ran = 0;
   while (Node* node = pop_next(deadline)) {
-    fire_node(node);
+    // The node is unlinked but NOT yet recycled while its callback runs:
+    // re-entrant schedule_at() calls allocate other nodes, and a re-entrant
+    // cancel() of this very id is rejected by the kFiring state.
+    node->state = kFiring;
+    --live_events_;
+    ++executed_;
+    ++stats_.fired;
+    callback_of(node)();
+    release_node(node);
     ++ran;
   }
   if (deadline == kNever) {

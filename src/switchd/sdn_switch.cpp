@@ -1,7 +1,6 @@
 #include "switchd/sdn_switch.hpp"
 
 #include "common/log.hpp"
-#include "sim/sharded_simulator.hpp"
 
 namespace mic::switchd {
 
@@ -12,18 +11,15 @@ void SdnSwitch::receive(const net::Packet& packet, topo::PortId in_port) {
   // insertion order, so the FIFO front is always the packet whose event is
   // firing and the event captures nothing but `this`.
   const sim::SimTime done =
-      cpu_.charge(local_sim().now(), costs_.switch_lookup_cycles);
+      cpu_.charge(network_->simulator().now(), costs_.switch_lookup_cycles);
   ingress_fifo_.emplace_back(packet, in_port);
-  local_sim().schedule_at(done, [this] {
+  network_->simulator().schedule_at(done, [this] {
     net::Packet pkt = std::move(ingress_fifo_.front().first);
     const topo::PortId port = ingress_fifo_.front().second;
     ingress_fifo_.pop_front();
     FlowRule* rule = table_.lookup(pkt, port, pkt.wire_bytes());
     if (rule == nullptr) {
       if (packet_in_) {
-        // Packet-in reaches into the controller; a transient table miss
-        // during a parallel window would cross shards unsynchronized.
-        sim::ShardedSimulator::assert_serial("packet-in inside a window");
         packet_in_(node_, pkt, port);
       } else {
         ++dropped_;
@@ -92,7 +88,7 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
                               bool allow_group) {
   const std::size_t rewrites = count_set_fields(actions);
   if (rewrites > 0) {
-    cpu_.charge(local_sim().now(),
+    cpu_.charge(network_->simulator().now(),
                 costs_.switch_rewrite_cycles * static_cast<double>(rewrites));
   }
 
@@ -136,7 +132,8 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
       }
       if (group->type == GroupType::kSelect) {
         // ECMP: one bucket, chosen by the flow hash.
-        cpu_.charge(local_sim().now(), costs_.switch_group_copy_cycles);
+        cpu_.charge(network_->simulator().now(),
+                    costs_.switch_group_copy_cycles);
         const std::size_t index = select_bucket(
             packet, group->buckets.size(),
             (static_cast<std::uint64_t>(node_) << 32) ^ group->group_id);
@@ -150,7 +147,7 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
       } else {
         // ALL group: every bucket acts on its own copy -- except the final
         // one, which inherits the packet when nothing else reads it after.
-        cpu_.charge(local_sim().now(),
+        cpu_.charge(network_->simulator().now(),
                     costs_.switch_group_copy_cycles *
                         static_cast<double>(group->buckets.size()));
         for (std::size_t b = 0; b < group->buckets.size(); ++b) {
@@ -165,7 +162,6 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
       }
     } else if (std::get_if<ToController>(&action)) {
       if (packet_in_) {
-        sim::ShardedSimulator::assert_serial("ToController inside a window");
         packet_in_(node_, packet, in_port);
       }
     } else if (std::get_if<DropAction>(&action)) {

@@ -1,16 +1,6 @@
 #include "transport/arena.hpp"
 
-#include <atomic>
-
 #include "transport/stream.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define MIC_ARENA_NO_REUSE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MIC_ARENA_NO_REUSE 1
-#endif
-#endif
 
 namespace mic::transport {
 
@@ -21,7 +11,6 @@ PayloadArena& PayloadArena::local() {
 
 std::shared_ptr<const std::vector<std::uint8_t>> PayloadArena::copy(
     std::span<const std::uint8_t> bytes) {
-#if !defined(MIC_ARENA_NO_REUSE)
   // Round-robin probe from the last hit: buffers retire in roughly FIFO
   // order, so in steady state the first probe usually lands on a free one.
   const std::size_t slots = pool_.size();
@@ -30,21 +19,15 @@ std::shared_ptr<const std::vector<std::uint8_t>> PayloadArena::copy(
     auto& slot = pool_[cursor_];
     cursor_ = cursor_ + 1 == slots ? 0 : cursor_ + 1;
     if (slot.use_count() == 1) {
-      // Pairs with the release decrement of the last remote reference:
-      // every read of the old contents happens-before this refill.
-      std::atomic_thread_fence(std::memory_order_acquire);
       slot->assign(bytes.begin(), bytes.end());
       ++stats_.reuses;
       return slot;
     }
   }
-#endif
   ++stats_.allocations;
   auto fresh =
       std::make_shared<std::vector<std::uint8_t>>(bytes.begin(), bytes.end());
-#if !defined(MIC_ARENA_NO_REUSE)
   if (pool_.size() < kMaxPooled) pool_.push_back(fresh);
-#endif
   return fresh;
 }
 

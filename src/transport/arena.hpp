@@ -9,16 +9,10 @@
 // capacity reused, so steady-state slicing and segmentation allocate
 // nothing.
 //
-// Thread safety: arenas are thread_local, so refills happen only on the
-// owning thread.  Consumers on other shard threads (payload pointers ride
-// packets across shards during parallel windows) interact with a buffer
-// only by reading it and then releasing their reference; the release is an
-// atomic decrement with release ordering, and the owner pairs it with an
-// acquire fence after observing use_count() == 1, ordering the refill
-// after every remote read.  Under ThreadSanitizer the reuse path is
-// disabled outright (the fence/use_count pairing sits outside what the
-// runtime models reliably) and every request takes the fresh-allocation
-// path.
+// Thread safety: arenas are thread_local, and the simulation runs on one
+// thread, so every packet that shares a pooled buffer is created, read and
+// released on the arena's own thread.  A use_count() of 1 therefore means
+// no packet can still read the buffer, and the refill needs no fence.
 #pragma once
 
 #include <cstdint>

@@ -180,10 +180,6 @@ class Host : public net::Device {
 
   void receive(const net::Packet& packet, topo::PortId in_port) override;
 
-  /// The global engine -- control-plane callers (clients arming wall-clock
-  /// timers, tests) use this.  Data-path work inside Host/TcpConnection
-  /// runs on `local_sim()` instead, which under a sharded fabric is the
-  /// host's shard engine (the global one is frozen during windows).
   sim::Simulator& simulator() { return network_->simulator(); }
   net::Network& network() { return *network_; }
 
@@ -202,7 +198,7 @@ class Host : public net::Device {
 
   /// Charge the host CPU; returns completion time.
   sim::SimTime charge(double cycles) {
-    return cpu_.charge(local_sim().now(), cycles);
+    return cpu_.charge(simulator().now(), cycles);
   }
 
  private:

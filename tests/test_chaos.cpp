@@ -681,42 +681,40 @@ TEST(ChaosSoak, SameSeedSameOutcome) {
   EXPECT_EQ(first.reestablishments, second.reestablishments);
 }
 
-TEST(ChaosSoak, ShardedReplayBitIdentical) {
-  // SIM-3 end-to-end: the pod-sharded engine in its serial-exact regime
-  // must reproduce the single-engine chaos run bit for bit -- same event
-  // interleave, same trace fingerprint, same loss/repair tallies.  This is
-  // the property that lets every recorded soak trace_hash replay unchanged
-  // under MIC_SIM_SHARDS=4.
+TEST(ChaosSoak, SerialOptionsReplayBitIdentical) {
+  // The leftover engine options at their accepted values (0 = default,
+  // 1 = the pinned serial engine) select the same single engine: the
+  // chaos run replays bit for bit -- same trace fingerprint, same
+  // loss/repair tallies.
   auto once = [](int shards) {
     FabricOptions fo;
     fo.seed = 107;
     fo.sim_shards = shards;
-    fo.sim_threads = 1;
+    fo.sim_threads = shards;
     Fabric fabric(fo);
     return run_chaos(fabric, 12, {0, 5, 9}, 42);
   };
-  const ChaosOutcome single = once(1);
-  const ChaosOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);  // includes trace_hash and trace_packets
-  EXPECT_NE(sharded.trace_hash, 0u);
+  const ChaosOutcome defaults = once(0);
+  const ChaosOutcome pinned = once(1);
+  EXPECT_EQ(defaults, pinned);  // includes trace_hash and trace_packets
+  EXPECT_NE(pinned.trace_hash, 0u);
 }
 
-TEST(McCrashSoak, ShardedReplayBitIdentical) {
-  // The same bit-exactness holds with the controller crashing mid-run:
-  // journal replays, switch resyncs and client heartbeats all ride the
-  // global engine while device events live on the shards.
+TEST(McCrashSoak, SerialOptionsReplayBitIdentical) {
+  // The same holds with the controller crashing mid-run: journal replays,
+  // switch resyncs and client heartbeats.
   auto once = [](int shards) {
     FabricOptions fo;
     fo.seed = 509;
     fo.sim_shards = shards;
-    fo.sim_threads = 1;
+    fo.sim_threads = shards;
     Fabric fabric(fo);
     return run_mc_crash_chaos(fabric, 21, /*truncate_records=*/1);
   };
-  const CrashChaosOutcome single = once(1);
-  const CrashChaosOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);
-  EXPECT_NE(sharded.trace_hash, 0u);
+  const CrashChaosOutcome defaults = once(0);
+  const CrashChaosOutcome pinned = once(1);
+  EXPECT_EQ(defaults, pinned);
+  EXPECT_NE(pinned.trace_hash, 0u);
 }
 
 }  // namespace

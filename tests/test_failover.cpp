@@ -3,8 +3,7 @@
 // ControllerDirectory repointing live clients, id-safety across a chain of
 // failovers, stale-replica takeovers that sweep and re-establish, zombie
 // ex-primary fencing (RC-2), and the seeded failover chaos soak across all
-// four primary-kill modes -- bit-reproducible, including under
-// MIC_SIM_SHARDS=4.
+// four primary-kill modes -- bit-reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -628,22 +627,22 @@ TEST(FailoverSoak, SameSeedSameOutcome) {
   EXPECT_NE(first.trace_hash, 0u);
 }
 
-TEST(FailoverSoak, ShardedReplayBitIdentical) {
-  // SIM-3 for the failover path: replication, heartbeats, takeover and the
-  // storage engine all ride the global engine, so the pod-sharded run in
-  // its serial-exact regime reproduces the kill schedule bit for bit.
+TEST(FailoverSoak, SerialOptionsReplayBitIdentical) {
+  // The leftover engine options at their accepted values (0 = default,
+  // 1 = the pinned serial engine) select the same single engine, so the
+  // fsync-lapse kill schedule replays bit for bit.
   auto once = [](int shards) {
     FabricOptions fo;
     fo.seed = 642;
     fo.sim_shards = shards;
-    fo.sim_threads = 1;
+    fo.sim_threads = shards;
     Fabric fabric(fo);
     return run_failover_chaos(fabric, 23, KillMode::kFsyncLapse);
   };
-  const FailoverOutcome single = once(1);
-  const FailoverOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);
-  EXPECT_NE(sharded.trace_hash, 0u);
+  const FailoverOutcome defaults = once(0);
+  const FailoverOutcome pinned = once(1);
+  EXPECT_EQ(defaults, pinned);
+  EXPECT_NE(pinned.trace_hash, 0u);
 }
 
 // --- non-invasiveness ---------------------------------------------------------

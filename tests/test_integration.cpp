@@ -377,5 +377,39 @@ TEST(GenericFabric, MicRunsOnLeafSpine) {
   EXPECT_TRUE(core::audit_collisions(fabric.mc()).ok);
 }
 
+TEST(FabricDeathTest, RejectsShardedEngineOptions) {
+  // One serial engine: the leftover sharding options abort at
+  // construction instead of being silently ignored.
+  FabricOptions shards;
+  shards.sim_shards = 2;
+  EXPECT_DEATH({ Fabric fabric(shards); }, "sim_shards <= 1");
+  FabricOptions threads;
+  threads.sim_threads = 4;
+  EXPECT_DEATH({ Fabric fabric(threads); }, "sim_threads <= 1");
+  FabricOptions parallel;
+  parallel.sim_parallel = true;
+  EXPECT_DEATH({ Fabric fabric(parallel); }, "!options.sim_parallel");
+}
+
+TEST(GenericFabricDeathTest, RejectsShardedEngineOptions) {
+  static const topo::LeafSpine ls(2, 2, 2);
+  std::vector<std::pair<topo::NodeId, net::Ipv4>> addrs;
+  for (const topo::NodeId h : ls.hosts()) {
+    addrs.push_back({h, net::Ipv4{ls.host_ip(h)}});
+  }
+  FabricOptions shards;
+  shards.sim_shards = 2;
+  EXPECT_DEATH({ core::GenericFabric fabric(ls.graph(), addrs, shards); },
+               "sim_shards <= 1");
+  FabricOptions threads;
+  threads.sim_threads = 4;
+  EXPECT_DEATH({ core::GenericFabric fabric(ls.graph(), addrs, threads); },
+               "sim_threads <= 1");
+  FabricOptions parallel;
+  parallel.sim_parallel = true;
+  EXPECT_DEATH({ core::GenericFabric fabric(ls.graph(), addrs, parallel); },
+               "!options.sim_parallel");
+}
+
 }  // namespace
 }  // namespace mic
