@@ -44,6 +44,16 @@ echo "== recovery + failover smoke (audit-gated) =="
 # the latency numbers look fine.
 (cd build && ./bench/controller_recovery --smoke)
 
+echo "== benchmark harness + control_plane output checks =="
+# The benchmark's own tests, then one short control_plane run (growth past
+# the journal compaction floor, churn, journal on a durable store): its
+# audit and durable-log replay checks must pass ("correct": true).
+python3 perfbench/run.py --test
+result=$(python3 perfbench/run.py --workload control_plane --seed 1 \
+  --seconds 7 --trace 0 | tail -n 1)
+echo "$result"
+grep -q '"correct": true' <<< "$result"
+
 echo "== soak trace-hash replay =="
 # Every seeded chaos / MC-crash / failover soak fingerprint must replay
 # bit-identically against the recorded golden file.

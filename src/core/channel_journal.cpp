@@ -18,7 +18,7 @@ bool structurally_equal(const ChannelState& a, const ChannelState& b) {
 ChannelJournal::ChannelJournal(const ChannelJournal& other)
     : records_(other.records_),
       next_seq_(other.next_seq_),
-      compaction_threshold_(other.compaction_threshold_),
+      compacted_size_(other.compacted_size_),
       compactions_(other.compactions_),
       epoch_(other.epoch_) {}
 
@@ -26,7 +26,7 @@ ChannelJournal& ChannelJournal::operator=(const ChannelJournal& other) {
   if (this == &other) return *this;
   records_ = other.records_;
   next_seq_ = other.next_seq_;
-  compaction_threshold_ = other.compaction_threshold_;
+  compacted_size_ = other.compacted_size_;
   compactions_ = other.compactions_;
   epoch_ = other.epoch_;
   // store_/listener_/unshipped_ deliberately untouched: the plumbing stays
@@ -69,9 +69,7 @@ void ChannelJournal::adopt_record(JournalRecord record) {
   next_seq_ = std::max(next_seq_, record.seq + 1);
   epoch_ = std::max(epoch_, record.epoch);
   records_.push_back(std::move(record));
-  if (compaction_threshold_ != 0 && records_.size() > compaction_threshold_) {
-    compact();
-  }
+  maybe_compact();
 }
 
 JournalImage ChannelJournal::replay() const {
@@ -114,11 +112,19 @@ void ChannelJournal::compact() {
     record.epoch = epoch_;
     records_.push_back(std::move(record));
   }
+  compacted_size_ = records_.size();
   ++compactions_;
   if (store_ != nullptr) {
     store_->compact(records_);
     // A compaction syncs everything: whatever was pending is durable now.
     maybe_ship();
+  }
+}
+
+void ChannelJournal::maybe_compact() {
+  if (records_.size() >
+      std::max(kCompactionFloor, compacted_size_ + compacted_size_ / 4)) {
+    compact();
   }
 }
 
@@ -128,6 +134,7 @@ void ChannelJournal::truncate_tail(std::size_t n) {
 
 void ChannelJournal::clear() {
   records_.clear();
+  compacted_size_ = 0;
   // Records that never reached the commit frontier die with the crash:
   // they must not ship to a standby after the fact.
   unshipped_.clear();
@@ -185,9 +192,7 @@ void ChannelJournal::append(JournalRecord record) {
     ++shipped_;
     listener_(record);
   }
-  if (compaction_threshold_ != 0 && records_.size() > compaction_threshold_) {
-    compact();
-  }
+  maybe_compact();
 }
 
 }  // namespace mic::core

@@ -96,19 +96,18 @@ class ChannelJournal {
 
   /// Rewrite the log as one kSnapshot record per live channel (id order).
   /// Sequence numbers keep increasing: a snapshot is an append that
-  /// obsoletes the prefix, not a history rewrite.
+  /// obsoletes the prefix, not a history rewrite.  Appends and adopted
+  /// records compact once the log outgrows max(kCompactionFloor, 1.25x its
+  /// size after the last compaction): amortized O(1) per record.
   void compact();
+
+  static constexpr std::size_t kCompactionFloor = 1024;
 
   /// Drop the last `n` records, as if the process died before they hit
   /// stable storage.  Clamped to the log length.
   void truncate_tail(std::size_t n);
 
   void clear();
-
-  /// Auto-compact whenever the log exceeds `records` entries (0 = never).
-  void set_compaction_threshold(std::size_t records) {
-    compaction_threshold_ = records;
-  }
 
   // --- durability + replication plumbing -------------------------------------
 
@@ -144,13 +143,14 @@ class ChannelJournal {
 
  private:
   void append(JournalRecord record);
+  void maybe_compact();
   /// Deliver queued records whose bytes the store has made durable.
   void maybe_ship();
   std::uint64_t durable_frontier() const;
 
   std::vector<JournalRecord> records_;
   std::uint64_t next_seq_ = 1;
-  std::size_t compaction_threshold_ = 0;
+  std::size_t compacted_size_ = 0;  // log size right after the last compact()
   std::uint64_t compactions_ = 0;
   std::uint64_t epoch_ = 0;
 

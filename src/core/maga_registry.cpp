@@ -50,12 +50,11 @@ FlowId MagaRegistry::allocate_flow_id() {
   if (!free_flow_ids_.empty()) {
     id = free_flow_ids_.back();
     free_flow_ids_.pop_back();
-  } else {
-    MIC_ASSERT_MSG(
-        next_flow_id_ < flow_ids_.base + flow_ids_.size &&
-            next_flow_id_ >= flow_ids_.base,
-        "this controller's m-flow ID range is exhausted");
+  } else if (next_flow_id_ < flow_ids_.base + flow_ids_.size &&
+             next_flow_id_ >= flow_ids_.base) {
     id = next_flow_id_++;
+  } else {
+    return kInvalidFlowId;
   }
   active_ids_.insert(id);
   return id;

@@ -12,6 +12,7 @@ namespace mic::core {
 namespace {
 constexpr int kMaxEndpointTries = 4096;
 constexpr int kMaxRouteTries = 64;
+constexpr const char* kFlowIdsExhausted = "m-flow ID range exhausted";
 }  // namespace
 
 MimicController::MimicController(net::Network& network,
@@ -33,7 +34,6 @@ MimicController::MimicController(net::Network& network,
   next_channel_ =
       (static_cast<ChannelId>(mic_config_.instance_id) << 32) + 1;
   next_group_ = (mic_config_.instance_id << 24) + 1;
-  journal_.set_compaction_threshold(mic_config_.journal_compaction_threshold);
   // First controller generation.  Every southbound op is stamped with the
   // journal epoch; recoveries and takeovers bump it (see recover()).
   journal_.set_epoch(1);
@@ -187,8 +187,8 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
   }
 }
 
-void MimicController::generate_decoys(int count, MFlowPlan& plan) {
-  if (count <= 0 || plan.mn_positions.empty()) return;
+bool MimicController::generate_decoys(int count, MFlowPlan& plan) {
+  if (count <= 0 || plan.mn_positions.empty()) return true;
   const auto& g = graph();
   const std::size_t first_pos = plan.mn_positions[0];
   const topo::NodeId first_mn = plan.path[first_pos];
@@ -207,13 +207,14 @@ void MimicController::generate_decoys(int count, MFlowPlan& plan) {
   if (decoy_ports.empty()) {
     log_warn("channel: first MN %u has no spare switch ports for decoys",
              first_mn);
-    return;
+    return true;
   }
   for (int d = 0; d < count; ++d) {
     const auto& adj =
         *decoy_ports[static_cast<std::size_t>(d) % decoy_ports.size()];
     DecoyPlan decoy;
     decoy.flow_id = registry_.allocate_flow_id();
+    if (decoy.flow_id == kInvalidFlowId) return false;
     decoy.tuple = registry_.generate(
         first_mn, decoy.flow_id,
         restrictions_.allowed_src(first_mn, adj.local_port),
@@ -223,6 +224,7 @@ void MimicController::generate_decoys(int count, MFlowPlan& plan) {
     decoy.next_in_port = adj.peer_port;
     plan.decoys.push_back(decoy);
   }
+  return true;
 }
 
 bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
@@ -232,6 +234,10 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
   const std::size_t n = static_cast<std::size_t>(mn_count);
 
   out.flow_id = registry_.allocate_flow_id();
+  if (out.flow_id == kInvalidFlowId) {
+    error = kFlowIdsExhausted;
+    return false;
+  }
   if (!sample_route_and_positions(ctx, n, out, error)) {
     registry_.release_flow_id(out.flow_id);
     return false;
@@ -325,7 +331,11 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
                     net::kNoMpls};
 
   generate_middle_tuples(ctx, out);
-  generate_decoys(decoys, out);
+  if (!generate_decoys(decoys, out)) {
+    release_plan_resources(out);
+    error = kFlowIdsExhausted;
+    return false;
+  }
   return true;
 }
 
@@ -363,7 +373,10 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
 
   if (!sample_route_and_positions(ctx, n, plan, error)) return false;
   generate_middle_tuples(ctx, plan);
-  generate_decoys(decoy_count, plan);
+  if (!generate_decoys(decoy_count, plan)) {
+    error = kFlowIdsExhausted;  // lose_channel releases the partial plan
+    return false;
+  }
   return true;
 }
 

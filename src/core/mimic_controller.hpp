@@ -39,11 +39,6 @@ struct MicConfig {
   sim::SimTime install_backoff_base = sim::microseconds(500);
   sim::SimTime install_backoff_cap = sim::milliseconds(8);
 
-  // --- crash recovery ---------------------------------------------------------
-  /// Compact the write-ahead channel journal whenever it grows past this
-  /// many records (0 = never compact).
-  std::size_t journal_compaction_threshold = 1024;
-
   // --- control-plane admission control ----------------------------------------
   /// Per-tenant token buckets, the bounded priority establish queue and the
   /// half-open-session reaper in front of every establishment entry point.
@@ -375,7 +370,8 @@ class MimicController : public ctrl::Controller {
   bool path_avoids_failures(const topo::Path& path) const;
   /// Fill forward[1..n-1] and reverse[1..n-1] from the current route.
   void generate_middle_tuples(const PlanContext& ctx, MFlowPlan& plan);
-  void generate_decoys(int count, MFlowPlan& plan);
+  /// False when the m-flow ID range runs out (partial decoys stay in plan).
+  bool generate_decoys(int count, MFlowPlan& plan);
   /// Re-route one m-flow around failures, keeping endpoints and flow ID.
   bool replan_flow(const PlanContext& ctx, MFlowPlan& plan,
                    std::string& error);

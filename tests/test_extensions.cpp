@@ -340,12 +340,15 @@ TEST(DistributedControllers, DisjointIdSpacesStayCollisionFree) {
   }
 }
 
-TEST(DistributedControllers, RangeExhaustionDies) {
+TEST(DistributedControllers, RangeExhaustionIsReported) {
   core::MagaRegistry registry{Rng(1), core::FlowIdRange{10, 3}};
   EXPECT_EQ(registry.allocate_flow_id(), 10);
   EXPECT_EQ(registry.allocate_flow_id(), 11);
   EXPECT_EQ(registry.allocate_flow_id(), 12);
-  EXPECT_DEATH(registry.allocate_flow_id(), "exhausted");
+  EXPECT_EQ(registry.allocate_flow_id(), core::kInvalidFlowId);
+  EXPECT_EQ(registry.active_flow_count(), 3u);
+  registry.release_flow_id(11);
+  EXPECT_EQ(registry.allocate_flow_id(), 11);
 }
 
 // --- channel pool ----------------------------------------------------------------

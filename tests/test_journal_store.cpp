@@ -10,8 +10,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,12 @@ namespace mic::core {
 namespace {
 
 // --- helpers -----------------------------------------------------------------
+
+/// The most records a journal may hold after an append, given its size
+/// right after the latest compaction (the latest append is the +1).
+std::size_t compaction_bound(std::size_t last) {
+  return std::max(ChannelJournal::kCompactionFloor, last + last / 4) + 1;
+}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -737,6 +745,122 @@ TEST(JournalStoreEngine, ControllerJournalPersistsAndReloads) {
   EXPECT_EQ(from_disk.next_channel, from_memory.next_channel);
   EXPECT_EQ(from_disk.next_group, from_memory.next_group);
   EXPECT_EQ(from_disk.epoch, from_memory.epoch);
+}
+
+// --- compaction rule ---------------------------------------------------------
+
+TEST(JournalCompaction, StaysGeometricUnderChurnPastTheFloor) {
+  // 1,500 live channels through a store, then 3,000 teardown/establish
+  // pairs: the log stays within 1.25x its post-compaction size, and every
+  // compaction is paid for by at least a quarter of a log of appends.
+  SimBackend backend;
+  JournalStore store(backend);
+  ChannelJournal journal;
+  journal.attach_store(&store);
+  journal.set_epoch(1);
+  // A follower adopting the shipped stream compacts by the same rule.
+  ChannelJournal follower;
+  journal.set_commit_listener([&follower](const JournalRecord& record) {
+    follower.adopt_record(record);
+  });
+
+  std::uint64_t next = 1;
+  std::deque<ChannelId> live;
+  std::size_t last = 0;  // journal size right after its latest compaction
+  std::uint64_t compactions_seen = 0;
+  std::size_t worst_excess = 0;  // records beyond the bound, worst case
+  auto establish = [&] {
+    const ChannelState state =
+        sample_record(next++, JournalRecordType::kEstablish).state;
+    journal.record_establish(state, state.id + 1,
+                             static_cast<std::uint32_t>(next));
+    live.push_back(state.id);
+  };
+  auto check = [&] {
+    if (journal.compactions() != compactions_seen) {
+      compactions_seen = journal.compactions();
+      last = journal.size();
+    }
+    const std::size_t bound = compaction_bound(last);
+    if (journal.size() > bound) {
+      worst_excess = std::max(worst_excess, journal.size() - bound);
+    }
+  };
+  for (int i = 0; i < 1500; ++i) {
+    establish();
+    check();
+  }
+  for (int pair = 0; pair < 3000; ++pair) {
+    journal.record_teardown(live.front());
+    live.pop_front();
+    check();
+    establish();
+    check();
+  }
+
+  EXPECT_EQ(worst_excess, 0u);
+  EXPECT_GT(journal.compactions(), 0u);
+  EXPECT_LE(journal.compactions(), 20u);
+  EXPECT_EQ(store.compactions(), journal.compactions());
+  EXPECT_GT(follower.compactions(), 0u);
+  EXPECT_LE(follower.size(), compaction_bound(live.size()));
+
+  const JournalImage leader_image = journal.replay();
+  const JournalImage follower_image = follower.replay();
+  ASSERT_EQ(leader_image.channels.size(), live.size());
+  ASSERT_EQ(follower_image.channels.size(), live.size());
+  for (const auto& [id, state] : leader_image.channels) {
+    ASSERT_TRUE(follower_image.channels.contains(id));
+    EXPECT_TRUE(structurally_equal(follower_image.channels.at(id), state));
+  }
+  EXPECT_EQ(follower_image.next_channel, leader_image.next_channel);
+  EXPECT_EQ(follower_image.next_group, leader_image.next_group);
+  EXPECT_EQ(follower_image.epoch, leader_image.epoch);
+}
+
+TEST(JournalCompaction, ControllerChurnPastTheFloorIsAmortized) {
+  // A k=8 controller journaling to a store, past the 1,024-record floor:
+  // 1,100 establishes, then 400 teardown/establish pairs.  An absolute
+  // threshold compacts (and rewrites the store) on nearly every append
+  // here; the geometric rule compacts a handful of times.
+  FabricOptions fo;
+  fo.k = 8;
+  Fabric fabric(fo);
+  SimBackend backend;
+  JournalStore store(backend);
+  fabric.mc().journal().attach_store(&store);
+  MimicController& mc = fabric.mc();
+
+  Rng rng(7);
+  std::vector<net::L4Port> next_sport(fabric.host_count(), 1024);
+  std::deque<ChannelId> live;
+  int requests = 0;
+  auto establish = [&] {
+    const std::size_t a = rng.below(fabric.host_count());
+    std::size_t b = rng.below(fabric.host_count() - 1);
+    if (b >= a) ++b;
+    EstablishRequest request;
+    request.initiator_ip = fabric.ip(a);
+    request.responder_ip = fabric.ip(b);
+    request.responder_port = 7000;
+    request.initiator_sports = {next_sport[a]++};
+    const EstablishResult result = mc.establish(request);
+    if (result.ok) live.push_back(result.channel);
+    if (++requests % 200 == 0) fabric.simulator().run_until();
+  };
+  for (int i = 0; i < 1100; ++i) establish();
+  for (int pair = 0; pair < 400; ++pair) {
+    mc.teardown(live.front());
+    live.pop_front();
+    establish();
+  }
+  fabric.simulator().run_until();
+
+  EXPECT_GT(live.size(), ChannelJournal::kCompactionFloor);
+  EXPECT_EQ(mc.active_channel_count(), live.size());
+  EXPECT_GT(mc.journal().compactions(), 0u);
+  EXPECT_LE(mc.journal().compactions(), 6u);
+  EXPECT_EQ(mc.journal().replay().channels.size(), live.size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "anonymity/observer.hpp"
+#include "core/audit_registry.hpp"
 #include "core/collision_audit.hpp"
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
@@ -117,6 +118,63 @@ TEST(MicEstablish, RejectsMalformedRequests) {
   svc.service_name = "no-such-service";
   svc.initiator_sports = {40001};
   EXPECT_FALSE(bed.fabric.mc().establish(svc).ok);
+}
+
+/// Fills an 8-id m-flow range with channels of `decoys` decoys each (1 +
+/// decoys ids per channel), then checks that the request which runs out
+/// is refused with nothing leaked, and that one teardown makes room again.
+void expect_flow_id_exhaustion_refused(int decoys) {
+  FabricOptions fo;
+  fo.mic.flow_ids = {1, 8};
+  Fabric fabric(fo);
+  MimicController& mc = fabric.mc();
+  net::L4Port sport = 40000;
+  auto request = [&] {
+    EstablishRequest r;
+    r.initiator_ip = fabric.ip(0);
+    r.responder_ip = fabric.ip(12);
+    r.responder_port = 7000;
+    r.multicast_decoys = decoys;
+    r.initiator_sports = {sport++};
+    return r;
+  };
+  const int fit = 8 / (1 + decoys);
+  std::vector<ChannelId> open;
+  for (int i = 0; i < fit; ++i) {
+    const EstablishResult result = mc.establish(request());
+    ASSERT_TRUE(result.ok) << result.error;
+    open.push_back(result.channel);
+  }
+  fabric.simulator().run_until();
+  const std::size_t ids_in_use = mc.registry().active_flow_count();
+  ASSERT_EQ(ids_in_use, static_cast<std::size_t>(fit * (1 + decoys)));
+
+  const EstablishResult refused = mc.establish(request());
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("exhausted"), std::string::npos)
+      << refused.error;
+  EXPECT_FALSE(mc.crashed());
+  EXPECT_EQ(mc.registry().active_flow_count(), ids_in_use);
+  EXPECT_EQ(mc.active_channel_count(), open.size());
+  const audit::RunReport report = audit::run_all(fabric);
+  EXPECT_TRUE(report.ok) << report.first_violation();
+
+  mc.teardown(open.front());
+  fabric.simulator().run_until();
+  const EstablishResult retried = mc.establish(request());
+  EXPECT_TRUE(retried.ok) << retried.error;
+  fabric.simulator().run_until();
+  EXPECT_TRUE(audit::run_all(fabric).ok);
+}
+
+TEST(MicEstablish, FlowIdExhaustionIsARefusal) {
+  expect_flow_id_exhaustion_refused(/*decoys=*/0);
+}
+
+TEST(MicEstablish, DecoyFlowIdExhaustionMidPlanIsARefusal) {
+  // 3 ids per channel: the third channel gets its m-flow id and one decoy
+  // id before the range runs out in the middle of planning.
+  expect_flow_id_exhaustion_refused(/*decoys=*/2);
 }
 
 TEST(MicEndToEnd, DataRoundTripsThroughMimicChannel) {
