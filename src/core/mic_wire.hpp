@@ -45,7 +45,7 @@ inline std::vector<std::uint8_t> serialize_slice_header(
 }
 
 /// The header as an arena-backed chunk: serialized into a stack scratch and
-/// copied through the thread's PayloadArena, so steady-state slicing does
+/// copied through the PayloadArena, so steady-state slicing does
 /// not heap-allocate per slice.
 inline transport::Chunk slice_header_chunk(const SliceHeader& header) {
   std::array<std::uint8_t, kSliceHeaderBytes> scratch;

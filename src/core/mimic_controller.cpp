@@ -438,7 +438,7 @@ void MimicController::install_direction(
 
     if (!is_mn) {
       rule.actions = {switchd::Output{egress}};
-      ops.push_back({sw, std::move(rule)});
+      ops.emplace_back(sw, std::move(rule));
       continue;
     }
 
@@ -468,16 +468,16 @@ void MimicController::install_direction(
         drop.cookie = id;
         drop.match = make_match(decoy_hop, decoy.next_in_port);
         drop.actions = {switchd::DropAction{}};
-        ops.push_back({decoy.next_switch, std::move(drop)});
+        ops.emplace_back(decoy.next_switch, std::move(drop));
       }
       // The group precedes the rule that references it; commits preserve
       // op order, so the reference is never dangling.
-      ops.push_back({sw, std::move(group)});
+      ops.emplace_back(sw, std::move(group));
       rule.actions = {switchd::GroupAction{group_alloc - 1}};
     } else {
       rule.actions = std::move(actions);
     }
-    ops.push_back({sw, std::move(rule)});
+    ops.emplace_back(sw, std::move(rule));
   }
   (void)plan;
 }

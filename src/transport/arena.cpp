@@ -5,7 +5,7 @@
 namespace mic::transport {
 
 PayloadArena& PayloadArena::local() {
-  thread_local PayloadArena arena;
+  static PayloadArena arena;
   return arena;
 }
 

@@ -1,4 +1,4 @@
-// Per-thread freelist for packet payload buffers.
+// Process-wide freelist for packet payload buffers.
 //
 // Every materialized send used to heap-allocate a fresh
 // std::vector<uint8_t> plus a shared_ptr control block, both dropped as
@@ -8,11 +8,6 @@
 // that shared it and can be refilled in place -- control block AND vector
 // capacity reused, so steady-state slicing and segmentation allocate
 // nothing.
-//
-// Thread safety: arenas are thread_local, and the simulation runs on one
-// thread, so every packet that shares a pooled buffer is created, read and
-// released on the arena's own thread.  A use_count() of 1 therefore means
-// no packet can still read the buffer, and the refill needs no fence.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +24,7 @@ class PayloadArena {
     std::uint64_t reuses = 0;       ///< buffers refilled in place
   };
 
-  /// The calling thread's arena.
+  /// The process-wide arena.
   static PayloadArena& local();
 
   /// A shared immutable buffer holding a copy of `bytes`.

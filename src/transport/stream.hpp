@@ -33,7 +33,7 @@ struct Chunk {
     return c;
   }
   /// Like real() for bytes that must be copied anyway, but the buffer comes
-  /// from the thread's PayloadArena freelist (arena.hpp): segmentation and
+  /// from the PayloadArena freelist (arena.hpp): segmentation and
   /// slicing stop heap-allocating per send.  Defined in arena.cpp.
   static Chunk copy(std::span<const std::uint8_t> bytes);
   static Chunk virtual_bytes(std::uint64_t n) {

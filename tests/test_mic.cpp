@@ -11,6 +11,7 @@
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
 #include "core/socket_api.hpp"
+#include "ctrl/l3_routing.hpp"
 
 namespace mic::core {
 namespace {
@@ -175,6 +176,57 @@ TEST(MicEstablish, DecoyFlowIdExhaustionMidPlanIsARefusal) {
   // 3 ids per channel: the third channel gets its m-flow id and one decoy
   // id before the range runs out in the middle of planning.
   expect_flow_id_exhaustion_refused(/*decoys=*/2);
+}
+
+TEST(MicEstablish, FullSwitchTableIsARefusal) {
+  // A table at capacity rejects the m-flow rule (OFPFMFC_TABLE_FULL): the
+  // establish must be refused, not abort, and must roll back every rule it
+  // placed and release every flow id, tuple and endpoint it reserved --
+  // the same request succeeds once the table has room again.
+  Fabric fabric;
+  MimicController& mc = fabric.mc();
+  EstablishRequest request;
+  request.initiator_ip = fabric.ip(0);
+  request.responder_ip = fabric.ip(12);
+  request.responder_port = 7000;
+  request.initiator_sports = {40001};
+
+  // The initiator's edge switch lies on every path the planner can pick.
+  const topo::Graph& graph = fabric.network().graph();
+  const topo::NodeId edge = graph.neighbors(fabric.host_node(0))[0].peer;
+  switchd::FlowTable& table = mc.switch_at(edge)->table();
+  table.set_capacity(table.rule_count());
+
+  const EstablishResult refused = mc.establish(request);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("rejected"), std::string::npos)
+      << refused.error;
+  EXPECT_FALSE(mc.crashed());
+  EXPECT_EQ(mc.active_channel_count(), 0u);
+  EXPECT_EQ(mc.registry().active_flow_count(), 0u);
+  // No channel exists, so every rule and group left is L3 routing state.
+  for (const topo::NodeId sw : graph.switches()) {
+    const switchd::FlowTable& t = mc.switch_at(sw)->table();
+    for (const switchd::FlowRule& rule : t.rules()) {
+      EXPECT_EQ(rule.cookie, ctrl::kL3Cookie) << "switch " << sw;
+    }
+    for (const switchd::GroupEntry& group : t.groups()) {
+      EXPECT_EQ(group.cookie, ctrl::kL3Cookie) << "switch " << sw;
+    }
+  }
+  const audit::RunReport report = audit::run_all(fabric);
+  EXPECT_TRUE(report.ok) << report.first_violation();
+  EXPECT_TRUE(report.check("FD-1").ok) << report.first_violation();
+  EXPECT_TRUE(report.check("CA-1").ok) << report.first_violation();
+  EXPECT_TRUE(report.check("RC-1").ok) << report.first_violation();
+  EXPECT_EQ(report.check("FD-1").metric("mflow_rules"), 0u);
+
+  table.set_capacity(0);
+  const EstablishResult retried = mc.establish(request);
+  EXPECT_TRUE(retried.ok) << retried.error;
+  fabric.simulator().run_until();
+  const audit::RunReport after = audit::run_all(fabric);
+  EXPECT_TRUE(after.ok) << after.first_violation();
 }
 
 TEST(MicEndToEnd, DataRoundTripsThroughMimicChannel) {
