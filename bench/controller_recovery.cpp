@@ -53,7 +53,6 @@ constexpr std::size_t kTruncateRecords = 2;
 /// how to settle: an unbounded run only quiesces when no standby probe
 /// loop is ticking.
 void establish_channels(Fabric& fabric, int channels) {
-  std::vector<EstablishRequest> requests;
   for (int i = 0; i < channels; ++i) {
     const std::size_t responder = 8 + static_cast<std::size_t>(i % 8);
     const net::L4Port port = static_cast<net::L4Port>(7000 + i);
@@ -67,9 +66,7 @@ void establish_channels(Fabric& fabric, int channels) {
       r.initiator_sports.push_back(
           static_cast<net::L4Port>(30000 + 10 * i + f));
     }
-    requests.push_back(r);
-  }
-  for (const auto& result : fabric.mc().establish_batch(requests)) {
+    const core::EstablishResult result = fabric.mc().establish(r);
     if (!result.ok) {
       std::fprintf(stderr, "establish failed: %s\n", result.error.c_str());
       std::exit(1);

@@ -42,6 +42,12 @@ echo "== recovery + failover smoke (audit-gated) =="
 # the latency numbers look fine.
 (cd build && ./bench/controller_recovery --smoke)
 
+echo "== routing sweep (BENCH_routing.json generator) =="
+# The non-smoke sweep that BENCH_routing.json is regenerated from; it must
+# run to completion and print one well-formed JSON object.
+./build/bench/scal_routing_calc --sweep_json > build/routing_sweep.json
+python3 -m json.tool build/routing_sweep.json > /dev/null
+
 echo "== benchmark harness + control_plane output checks =="
 # The benchmark's own tests, then one short control_plane run (growth past
 # the journal compaction floor, churn, journal on a durable store): its

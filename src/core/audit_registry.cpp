@@ -1,7 +1,7 @@
 #include "core/audit_registry.hpp"
 
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -152,9 +152,9 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
   // quota.  Concretely: (a) every offered establish is accounted exactly
   // once -- admitted (past or in flight), shed with a Busy reply, or still
   // queued; (b) the same conservation holds for half-open control sessions
-  // (opened == completed + reaped + live); (c) with limits enabled, no
-  // tenant holds more pending work or half-open sessions than its quota
-  // and no bucket holds more than burst tokens; (d) every half-open
+  // (opened == completed + reaped + live); (c) no tenant holds more
+  // pending work or half-open sessions than its quota and no bucket holds
+  // more than burst tokens; (d) every half-open
   // session past its idle deadline has a live reaper timer (no zombies).
   CheckResult result;
   const ctrl::AdmissionController& ac = mc.admission();
@@ -183,12 +183,12 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
 
   for (const auto& tenant : ac.tenant_snapshot()) {
     const std::string who = "tenant " + std::to_string(tenant.tenant);
-    if (config.enabled && tenant.pending > config.tenant_pending_quota) {
+    if (tenant.pending > config.tenant_pending_quota) {
       result.violations.push_back(
           who + " exceeds pending quota: " + std::to_string(tenant.pending) +
           " > " + std::to_string(config.tenant_pending_quota));
     }
-    if (config.enabled && tenant.half_open > config.tenant_half_open_quota) {
+    if (tenant.half_open > config.tenant_half_open_quota) {
       result.violations.push_back(
           who + " exceeds half-open quota: " +
           std::to_string(tenant.half_open) + " > " +
@@ -219,13 +219,48 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
   return result;
 }
 
+struct Check {
+  const char* id;
+  const char* name;
+  CheckResult (*fn)(core::MimicController&);
+};
+
+CheckResult check_collisions(core::MimicController& mc) {
+  return from_audit_report(core::audit_collisions(mc));
+}
+
+CheckResult check_orphan_rules(core::MimicController& mc) {
+  return from_audit_report(core::audit_orphan_rules(mc));
+}
+
+// Table order == report order.
+constexpr Check kChecks[] = {
+    {"FT-1", "flow-table lookup equivalence", check_flow_tables},
+    {"CA-1", "collision / MAGA label audit", check_collisions},
+    {"PE-1", "path-row determinism", check_path_rows},
+    {"FD-1", "orphan-rule / live-channel audit", check_orphan_rules},
+    {"RC-1", "journal / switch-resync consistency",
+     check_recovery_consistency},
+    {"RC-2", "controller-generation (failover) consistency",
+     check_failover_consistency},
+    {"AC-1", "control-plane admission conservation",
+     check_admission_conservation},
+};
+
+CheckResult run_check(const Check& check, core::MimicController& mc) {
+  CheckResult result = check.fn(mc);
+  result.id = check.id;
+  result.name = check.name;
+  return result;
+}
+
 }  // namespace
 
 const CheckResult& RunReport::check(std::string_view id) const {
   for (const auto& c : checks) {
     if (c.id == id) return c;
   }
-  MIC_ASSERT_MSG(false, "audit check id not registered");
+  MIC_ASSERT_MSG(false, "unknown audit check id");
   __builtin_unreachable();
 }
 
@@ -248,73 +283,22 @@ std::string RunReport::summary() const {
   return out;
 }
 
-Registry::Registry() {
-  add("FT-1", "flow-table lookup equivalence", check_flow_tables);
-  add("CA-1", "collision / MAGA label audit",
-      [](core::MimicController& mc) {
-        return from_audit_report(core::audit_collisions(mc));
-      });
-  add("PE-1", "path-row determinism", check_path_rows);
-  add("FD-1", "orphan-rule / live-channel audit",
-      [](core::MimicController& mc) {
-        return from_audit_report(core::audit_orphan_rules(mc));
-      });
-  add("RC-1", "journal / switch-resync consistency",
-      check_recovery_consistency);
-  add("RC-2", "controller-generation (failover) consistency",
-      check_failover_consistency);
-  add("AC-1", "control-plane admission conservation",
-      check_admission_conservation);
-}
-
-Registry& Registry::instance() {
-  static Registry registry;
-  return registry;
-}
-
-void Registry::add(std::string id, std::string name, CheckFn fn) {
-  for (const auto& e : checks_) {
-    MIC_ASSERT_MSG(e.id != id, "duplicate audit check id");
-  }
-  checks_.push_back(Entry{std::move(id), std::move(name), std::move(fn)});
-}
-
-RunReport Registry::run_all(core::MimicController& mc) const {
+RunReport run_all(core::MimicController& mc) {
   RunReport report;
-  report.checks.reserve(checks_.size());
-  for (const auto& e : checks_) {
-    CheckResult result = e.fn(mc);
-    result.id = e.id;
-    result.name = e.name;
-    report.ok = report.ok && result.ok;
-    report.checks.push_back(std::move(result));
+  report.checks.reserve(std::size(kChecks));
+  for (const Check& check : kChecks) {
+    report.checks.push_back(run_check(check, mc));
+    report.ok = report.ok && report.checks.back().ok;
   }
   return report;
 }
 
-CheckResult Registry::run(std::string_view id,
-                          core::MimicController& mc) const {
-  for (const auto& e : checks_) {
-    if (e.id == id) {
-      CheckResult result = e.fn(mc);
-      result.id = e.id;
-      result.name = e.name;
-      return result;
-    }
+CheckResult run(std::string_view id, core::MimicController& mc) {
+  for (const Check& check : kChecks) {
+    if (check.id == id) return run_check(check, mc);
   }
-  MIC_ASSERT_MSG(false, "audit check id not registered");
+  MIC_ASSERT_MSG(false, "unknown audit check id");
   __builtin_unreachable();
-}
-
-std::vector<std::string> Registry::ids() const {
-  std::vector<std::string> out;
-  out.reserve(checks_.size());
-  for (const auto& e : checks_) out.push_back(e.id);
-  return out;
-}
-
-RunReport run_all(core::MimicController& mc) {
-  return Registry::instance().run_all(mc);
 }
 
 }  // namespace mic::audit

@@ -7,21 +7,17 @@
 // meant a new subsystem's invariant had to be wired into every checkpoint
 // by hand -- and usually wasn't.
 //
-// audit::Registry is the single choke point: the built-in invariants
-// register themselves once (in audit_registry.cpp), future subsystems call
-// Registry::instance().add(...) from their own translation unit, and every
-// checkpoint -- a test's quiescence assertion, the chaos soak, an
-// example's exit status -- invokes one run_all(fabric) and gets every
-// registered invariant, including ones that did not exist when the
-// checkpoint was written.
+// This file is the single choke point: a fixed table of the seven
+// runtime invariants (in audit_registry.cpp), and every checkpoint -- a
+// test's quiescence assertion, the chaos soak, an example's exit status --
+// invokes one run_all(fabric) and gets all of them.  A new invariant is one
+// more row in that table.
 //
 // Checks run on the single-threaded event loop between simulator runs
-// (they walk flow tables and the path-row cache); the registry itself is
-// immutable after static registration.
+// (they walk flow tables and the path-row cache).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,13 +47,12 @@ struct CheckResult {
   }
 };
 
-/// One run_all() checkpoint: every registered invariant, in registration
-/// order.
+/// One run_all() checkpoint: every invariant, in table order.
 struct RunReport {
   bool ok = true;
   std::vector<CheckResult> checks;
 
-  /// The named check; aborts if the id was never registered (a typo in a
+  /// The named check; aborts if the id is not in the report (a typo in a
   /// test should fail loudly, not vacuously pass).
   const CheckResult& check(std::string_view id) const;
 
@@ -69,40 +64,12 @@ struct RunReport {
   std::string summary() const;
 };
 
-class Registry {
- public:
-  using CheckFn = std::function<CheckResult(core::MimicController&)>;
-
-  /// The process-wide registry, with the seven built-in invariants (FT-1,
-  /// CA-1, PE-1, FD-1, RC-1, RC-2, AC-1) already registered.
-  static Registry& instance();
-
-  /// Register an invariant.  `fn` fills ok/items_checked/violations; id
-  /// and name are stamped by the registry.  Duplicate ids abort: two
-  /// subsystems claiming one identifier is a wiring bug.
-  void add(std::string id, std::string name, CheckFn fn);
-
-  /// Run every registered invariant against the controller's fabric view.
-  RunReport run_all(core::MimicController& mc) const;
-
-  /// Run one invariant by id; aborts on unknown ids.
-  CheckResult run(std::string_view id, core::MimicController& mc) const;
-
-  std::vector<std::string> ids() const;
-
- private:
-  Registry();
-
-  struct Entry {
-    std::string id;
-    std::string name;
-    CheckFn fn;
-  };
-  std::vector<Entry> checks_;  // registration order == report order
-};
-
-/// The one-call checkpoint: run every registered invariant.
+/// The one-call checkpoint: run every invariant (FT-1, CA-1, PE-1, FD-1,
+/// RC-1, RC-2, AC-1, in that order) against the controller's fabric view.
 RunReport run_all(core::MimicController& mc);
+
+/// Run one invariant by id; aborts on unknown ids.
+CheckResult run(std::string_view id, core::MimicController& mc);
 
 /// Convenience overload for anything fabric-shaped (core::Fabric,
 /// core::GenericFabric, test beds): run against its Mimic Controller.

@@ -19,10 +19,7 @@ std::string us(sim::SimTime t) {
 
 FaultInjector::FaultInjector(net::Network& network, MimicController& mc,
                              FaultInjectorOptions options)
-    : network_(network), mc_(mc), options_(options), rng_(options.seed) {
-  MIC_ASSERT(options_.min_outage > 0 &&
-             options_.min_outage <= options_.max_outage);
-}
+    : network_(network), mc_(mc), options_(options), rng_(options.seed) {}
 
 void FaultInjector::arm() {
   MIC_ASSERT_MSG(!armed_, "FaultInjector::arm called twice");
@@ -34,8 +31,7 @@ void FaultInjector::arm() {
     return options_.start + rng_.below(std::max<sim::SimTime>(options_.window, 1));
   };
   auto outage_time = [this] {
-    return options_.min_outage +
-           rng_.below(options_.max_outage - options_.min_outage + 1);
+    return kMinOutage + rng_.below(kMaxOutage - kMinOutage + 1);
   };
 
   // Crash victims first; flap victims then avoid their incident links, so a
@@ -115,13 +111,13 @@ void FaultInjector::arm() {
     const std::uint64_t fault_seed = rng_.next();
     schedule_log_.push_back("install faults on switch " + std::to_string(sw) +
                             " @" + us(at) + " for " +
-                            us(options_.install_fault_duration));
+                            us(kInstallFaultDuration));
     sim.schedule_in(at, [this, sw, fault_seed] {
       mc_.switch_at(sw)->inject_install_faults(
-          options_.install_fault_probability, fault_seed);
+          kInstallFaultProbability, fault_seed);
       ++bursts_fired_;
     });
-    sim.schedule_in(at + options_.install_fault_duration, [this, sw] {
+    sim.schedule_in(at + kInstallFaultDuration, [this, sw] {
       mc_.switch_at(sw)->clear_install_faults();
     });
   }
@@ -130,12 +126,12 @@ void FaultInjector::arm() {
   for (int i = 0; i < options_.control_drop_bursts; ++i) {
     const sim::SimTime at = fault_time();
     schedule_log_.push_back("control drops @" + us(at) + " for " +
-                            us(options_.control_drop_duration));
+                            us(kControlDropDuration));
     sim.schedule_in(at, [this] {
-      mc_.set_control_drop_probability(options_.control_drop_probability);
+      mc_.set_control_drop_probability(kControlDropProbability);
       ++bursts_fired_;
     });
-    sim.schedule_in(at + options_.control_drop_duration, [this] {
+    sim.schedule_in(at + kControlDropDuration, [this] {
       mc_.set_control_drop_probability(0.0);
     });
   }
@@ -218,7 +214,7 @@ void FaultInjector::arm() {
         if (*id != 0) ++slow_sessions_opened_;
       });
       for (int t = 1; t <= options_.slow_client_touches; ++t) {
-        sim.schedule_in(open_at + t * options_.slow_client_touch_gap,
+        sim.schedule_in(open_at + t * kSlowClientTouchGap,
                         [this, id] {
                           if (*id != 0) mc_.touch_control_session(*id);
                         });
@@ -227,34 +223,10 @@ void FaultInjector::arm() {
     }
   }
 
-  // Durable-storage faults and primary kills, drawn after every draw above
-  // (the same append-only rule): enabling them never perturbs an existing
-  // seed's fault, flood or slow-client schedule.  All randomness is drawn
-  // here at arm() time; the callbacks touch no rng.
-  if (options_.storage_bit_flips > 0 || options_.fsync_lapse_windows > 0) {
-    MIC_ASSERT_MSG(backend_ != nullptr,
-                   "storage faults need attach_journal_backend()");
-  }
-  for (int i = 0; i < options_.storage_bit_flips; ++i) {
-    const sim::SimTime at = fault_time();
-    const std::uint64_t which = rng_.next();
-    schedule_log_.push_back("flip journal bit @" + us(at));
-    sim.schedule_in(at, [this, which] {
-      backend_->flip_bit(which);
-      ++storage_faults_fired_;
-    });
-  }
-  for (int i = 0; i < options_.fsync_lapse_windows; ++i) {
-    const sim::SimTime at = fault_time();
-    schedule_log_.push_back(
-        "fsync lapse x" + std::to_string(options_.fsync_lapse_count) + " @" +
-        us(at));
-    sim.schedule_in(at, [this] {
-      backend_->lapse_fsyncs(options_.fsync_lapse_count);
-      ++storage_faults_fired_;
-    });
-  }
-
+  // Primary kills, drawn after every draw above (the same append-only
+  // rule): enabling them never perturbs an existing seed's fault, flood or
+  // slow-client schedule.  All randomness is drawn here at arm() time; the
+  // callbacks touch no rng.
   using KillMode = FaultInjectorOptions::PrimaryKillMode;
   if (options_.primary_kills > 0) {
     MIC_ASSERT_MSG(standby_ != nullptr,
@@ -277,12 +249,12 @@ void FaultInjector::arm() {
     if (options_.primary_kill_mode == KillMode::kFsyncLapse) {
       // Open the lapse window shortly before the kill: the final commits
       // look durable to the primary but never ship to the standby.
-      const sim::SimTime lapse_at = kill_at > options_.fsync_lapse_lead
-                                        ? kill_at - options_.fsync_lapse_lead
+      const sim::SimTime lapse_at = kill_at > kFsyncLapseLead
+                                        ? kill_at - kFsyncLapseLead
                                         : sim::SimTime{0};
       sim.schedule_in(lapse_at, [this] {
         if (backend_ != nullptr) {
-          backend_->lapse_fsyncs(options_.fsync_lapse_count);
+          backend_->lapse_fsyncs(kFsyncLapseCount);
         }
       });
     }
@@ -298,7 +270,7 @@ void FaultInjector::arm() {
       if (options_.primary_kill_mode == KillMode::kTornTail) {
         if (backend_ != nullptr) backend_->arm_torn_tail(torn_bytes);
         standby_->drop_replica_tail(
-            static_cast<std::size_t>(options_.kill_truncate_records));
+            static_cast<std::size_t>(kKillTruncateRecords));
       }
       if (backend_ != nullptr) backend_->crash();
       if (!mc_.crashed()) mc_.crash();

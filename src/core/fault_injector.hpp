@@ -27,6 +27,27 @@ namespace mic::core {
 
 class SimBackend;
 
+// The fixed shape of every fault (fault_injector.cpp reads these; the
+// options below only choose how many of each fire, when, and from which
+// seed).
+/// Outage of a link flap, switch crash or MC crash: uniform in
+/// [kMinOutage, kMaxOutage].
+inline constexpr sim::SimTime kMinOutage = sim::milliseconds(1);
+inline constexpr sim::SimTime kMaxOutage = sim::milliseconds(15);
+static_assert(0 < kMinOutage && kMinOutage <= kMaxOutage);
+inline constexpr double kInstallFaultProbability = 0.5;
+inline constexpr sim::SimTime kInstallFaultDuration = sim::milliseconds(3);
+inline constexpr double kControlDropProbability = 0.25;
+inline constexpr sim::SimTime kControlDropDuration = sim::milliseconds(3);
+inline constexpr sim::SimTime kSlowClientTouchGap = sim::milliseconds(2);
+/// kTornTail: replica records dropped at the kill (in-flight replication
+/// lost with the primary).
+inline constexpr int kKillTruncateRecords = 2;
+/// kFsyncLapse: the lapse window opens this long before the kill and
+/// swallows this many fsyncs.
+inline constexpr sim::SimTime kFsyncLapseLead = sim::milliseconds(3);
+inline constexpr int kFsyncLapseCount = 4;
+
 struct FaultInjectorOptions {
   std::uint64_t seed = 1;
   /// Faults fire at uniformly random offsets in [start, start + window),
@@ -35,13 +56,11 @@ struct FaultInjectorOptions {
   sim::SimTime window = sim::milliseconds(60);
 
   /// Link flaps: a link goes down, stays down for a uniform outage in
-  /// [min_outage, max_outage], and comes back.  Victims prefer
+  /// [kMinOutage, kMaxOutage], and comes back.  Victims prefer
   /// switch-switch links when the topology has any (fat-tree, leaf-spine);
   /// in server-centric topologies (BCube) every link is a host link and
   /// all are eligible.
   int link_flaps = 4;
-  sim::SimTime min_outage = sim::milliseconds(1);
-  sim::SimTime max_outage = sim::milliseconds(15);
 
   /// Whole-switch crash/recover cycles (same outage distribution).  Crash
   /// victims and flap victims are kept disjoint so a flap's restore cannot
@@ -49,16 +68,13 @@ struct FaultInjectorOptions {
   int switch_crashes = 1;
 
   /// Rule-install fault bursts: one random switch rejects each install
-  /// with `install_fault_probability` for `install_fault_duration`.
+  /// with kInstallFaultProbability for kInstallFaultDuration.
   int install_fault_bursts = 1;
-  double install_fault_probability = 0.5;
-  sim::SimTime install_fault_duration = sim::milliseconds(3);
 
   /// Control-message drop bursts: checked flow-mods/replies anywhere in
-  /// the fabric are dropped with `control_drop_probability`.
+  /// the fabric are dropped with kControlDropProbability for
+  /// kControlDropDuration.
   int control_drop_bursts = 1;
-  double control_drop_probability = 0.25;
-  sim::SimTime control_drop_duration = sim::milliseconds(3);
 
   /// Mimic-controller crash/recover cycles (same outage distribution):
   /// crash() wipes the MC's soft state mid-run, recover() replays the
@@ -87,32 +103,17 @@ struct FaultInjectorOptions {
 
   /// Slowloris-style trickle: this many control sessions are opened by
   /// random hosts at random times, touched `slow_client_touches` times at
-  /// `slow_client_touch_gap` intervals, then abandoned -- never completed.
-  /// The admission reaper must clean every one of them up.
+  /// kSlowClientTouchGap intervals, then abandoned -- never completed.  The
+  /// admission reaper must clean every one of them up.
   int slow_client_sessions = 0;
   int slow_client_touches = 2;
-  sim::SimTime slow_client_touch_gap = sim::milliseconds(2);
-
-  /// --- durable-storage faults (journal_store.hpp SimBackend) ----------------
-  /// Require attach_journal_backend().  Drawn after the slow-client draws
-  /// (append-only, like every extension before them), so enabling them
-  /// never perturbs an existing seed's schedule.
-
-  /// Latent single-bit corruptions of already-durable journal bytes at
-  /// random times: the live run never notices (nothing re-reads the
-  /// store), but a later load() must degrade to a clean parse error.
-  int storage_bit_flips = 0;
-  /// Windows in which fsync silently does nothing (firmware write-cache
-  /// lie): the MC believes the records committed (they ship to the standby
-  /// -- the lie is undetectable), but the primary's own disk drops them at
-  /// the next power cut, so a reload from that disk is behind the replica.
-  int fsync_lapse_windows = 0;
-  int fsync_lapse_count = 4;
 
   /// --- primary-kill / failover schedule -------------------------------------
   /// Requires attach_standby(); the kill leaves the primary down (or, in
   /// zombie mode, running but partitioned) and the standby's heartbeat
-  /// machinery performs the takeover on its own.
+  /// machinery performs the takeover on its own.  Drawn after the
+  /// slow-client draws (append-only, like every extension before it), so
+  /// enabling kills never perturbs an existing seed's schedule.
   enum class PrimaryKillMode : std::uint8_t {
     kClean,       // crash the primary, nothing else
     kTornTail,    // partial sector write + replica lag at the kill
@@ -122,11 +123,6 @@ struct FaultInjectorOptions {
   };
   int primary_kills = 0;
   PrimaryKillMode primary_kill_mode = PrimaryKillMode::kClean;
-  /// kTornTail: replica records dropped at the kill (in-flight replication
-  /// lost with the primary).
-  int kill_truncate_records = 2;
-  /// kFsyncLapse: how long before the kill the lapse window opens.
-  sim::SimTime fsync_lapse_lead = sim::milliseconds(3);
 };
 
 class FaultInjector {
@@ -138,9 +134,9 @@ class FaultInjector {
   /// the simulator.  Call once, before (or while) traffic runs.
   void arm();
 
-  /// Target of the storage-fault schedules (the SimBackend under the MC's
-  /// JournalStore).  Must be attached before arm() when storage_bit_flips,
-  /// fsync_lapse_windows or a storage-kill mode is configured.
+  /// Target of the storage faults of the kTornTail and kFsyncLapse kill
+  /// modes (the SimBackend under the MC's JournalStore); without one those
+  /// modes skip their disk faults.
   void attach_journal_backend(SimBackend* backend) noexcept {
     backend_ = backend;
   }
@@ -156,9 +152,6 @@ class FaultInjector {
   std::size_t mc_crashes_fired() const noexcept { return mc_crashes_fired_; }
   std::size_t primary_kills_fired() const noexcept {
     return primary_kills_fired_;
-  }
-  std::size_t storage_faults_fired() const noexcept {
-    return storage_faults_fired_;
   }
   /// Flood-attack outcome: requests sent, answers seen, and how many of
   /// those answers were admission sheds (Busy replies).  Dropped requests
@@ -205,7 +198,6 @@ class FaultInjector {
   std::size_t bursts_fired_ = 0;
   std::size_t mc_crashes_fired_ = 0;
   std::size_t primary_kills_fired_ = 0;
-  std::size_t storage_faults_fired_ = 0;
   std::uint64_t flood_sent_ = 0;
   std::uint64_t flood_answered_ = 0;
   std::uint64_t flood_shed_ = 0;

@@ -6,6 +6,14 @@ namespace mic::core {
 
 namespace {
 
+// Backoff before automatic re-establishment (and before re-sending after a
+// controller silence): attempt k waits base * 2^(k-1), clamped to the cap,
+// plus seeded jitter below base.  Re-establishment gives up after
+// kReestablishLimit attempts.
+constexpr sim::SimTime kReestablishBackoffBase = sim::milliseconds(2);
+constexpr sim::SimTime kReestablishBackoffCap = sim::milliseconds(50);
+constexpr int kReestablishLimit = 4;
+
 transport::ChunkView view_of(const transport::Chunk& chunk) {
   if (chunk.is_real()) return {chunk.length, *chunk.data};
   return {chunk.length, {}};
@@ -89,15 +97,10 @@ void MicChannel::start_establish() {
 }
 
 sim::SimTime MicChannel::backoff_for(int attempt) const {
-  const sim::SimTime base = options_.reestablish_backoff_base;
-  const int shift = std::min(attempt - 1, 20);
-  sim::SimTime backoff = base << shift;
-  if (backoff > options_.reestablish_backoff_cap ||
-      (shift > 0 && (backoff >> shift) != base)) {
-    backoff = options_.reestablish_backoff_cap;
-  }
-  const sim::SimTime jitter = base == 0 ? 0 : rng_.below(base);
-  return backoff + jitter;
+  const sim::SimTime backoff =
+      std::min(kReestablishBackoffBase << std::min(attempt - 1, 20),
+               kReestablishBackoffCap);
+  return backoff + rng_.below(kReestablishBackoffBase);
 }
 
 void MicChannel::arm_establish_timeout() {
@@ -218,7 +221,7 @@ void MicChannel::on_channel_event(MimicController::ChannelEvent event,
   // for a fresh one (new entry addresses, new m-flow connections).
   if (user_closed_) return;
   if (options_.auto_reestablish &&
-      reestablish_attempts_ < options_.reestablish_limit) {
+      reestablish_attempts_ < kReestablishLimit) {
     ++reestablish_attempts_;
     retire_flows();
     const std::uint64_t gen = generation_;
@@ -259,7 +262,7 @@ void MicChannel::on_established(const EstablishResult& result) {
   }
   if (!result.ok) {
     if (options_.auto_reestablish &&
-        reestablish_attempts_ < options_.reestablish_limit &&
+        reestablish_attempts_ < kReestablishLimit &&
         reestablish_attempts_ > 0) {
       // A re-establishment raced a still-unrepaired fabric; try again.
       on_channel_event(MimicController::ChannelEvent::kLost, result.error);
@@ -346,7 +349,7 @@ void MicChannel::send(transport::Chunk chunk) {
   while (offset < chunk.length) {
     const std::uint64_t slice_len = std::min<std::uint64_t>(
         chunk.length - offset,
-        rng_.range(options_.min_slice, options_.max_slice));
+        rng_.range(kMinSlice, kMaxSlice));
     send_slice(transport::sub_chunk(chunk, offset, slice_len));
     offset += slice_len;
   }
@@ -462,7 +465,7 @@ void MicServerChannel::send(transport::Chunk chunk) {
   std::uint64_t offset = 0;
   while (offset < chunk.length) {
     const std::uint64_t slice_len = std::min<std::uint64_t>(
-        chunk.length - offset, rng_.range(min_slice_, max_slice_));
+        chunk.length - offset, rng_.range(kMinSlice, kMaxSlice));
     const std::size_t flow_index = rng_.below(streams_.size());
     SliceHeader header;
     header.channel = wire_id_;
@@ -513,8 +516,8 @@ void MicServer::on_flow_data(FlowCtx& flow, const transport::ChunkView& view) {
     if (flow.channel == nullptr) {
       auto it = channels_.find(header.channel);
       if (it == channels_.end()) {
-        auto channel = std::make_unique<MicServerChannel>(
-            header.channel, rng_, 8 * 1024, 32 * 1024);
+        auto channel =
+            std::make_unique<MicServerChannel>(header.channel, rng_);
         it = channels_.emplace(header.channel, std::move(channel)).first;
         if (on_channel_) on_channel_(*it->second);
       }

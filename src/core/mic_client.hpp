@@ -21,6 +21,11 @@
 
 namespace mic::core {
 
+/// Slice sizing for the striping, in both directions: every slice is
+/// uniform in [kMinSlice, kMaxSlice] bytes.
+inline constexpr std::uint32_t kMinSlice = 8 * 1024;
+inline constexpr std::uint32_t kMaxSlice = 32 * 1024;
+
 struct MicChannelOptions {
   /// Hidden-service nickname, or explicit responder address.
   std::string service_name;
@@ -32,21 +37,14 @@ struct MicChannelOptions {
   int multicast_decoys = 0; // partial multicast replicas at the first MN
   bool use_ssl = false;     // MIC-SSL: SSL inside each m-flow
 
-  /// Slice sizing for the striping (uniform in [min, max]).
-  std::uint32_t min_slice = 8 * 1024;
-  std::uint32_t max_slice = 32 * 1024;
-
   // --- failure handling ------------------------------------------------------
   /// When the MC reports the channel lost (unrepairable failure, idle
   /// reclamation), automatically request a fresh establishment instead of
   /// failing: new m-flow connections, new entry addresses, same responder.
   /// Buffered data survives; in-flight slices on the dead flows do not.
+  /// Attempts back off exponentially (capped, plus seeded jitter), up to
+  /// kReestablishLimit of them (mic_client.cpp).
   bool auto_reestablish = false;
-  /// Capped exponential backoff (plus seeded jitter) between automatic
-  /// re-establishment attempts, and how many to try before giving up.
-  sim::SimTime reestablish_backoff_base = sim::milliseconds(2);
-  sim::SimTime reestablish_backoff_cap = sim::milliseconds(50);
-  int reestablish_limit = 4;
 
   // --- controller-silence survival -------------------------------------------
   /// Detect a silent MC (crashed, not merely slow): if the establishment
@@ -202,12 +200,8 @@ class MicChannel : public transport::ByteStream {
 /// initiator's address: its peer addresses are the presented m-addresses.
 class MicServerChannel : public transport::ByteStream {
  public:
-  explicit MicServerChannel(std::uint32_t wire_id, Rng& rng,
-                            std::uint32_t min_slice, std::uint32_t max_slice)
-      : wire_id_(wire_id),
-        rng_(rng),
-        min_slice_(min_slice),
-        max_slice_(max_slice) {}
+  MicServerChannel(std::uint32_t wire_id, Rng& rng)
+      : wire_id_(wire_id), rng_(rng) {}
 
   void send(transport::Chunk chunk) override;
   void close() override;
@@ -224,8 +218,6 @@ class MicServerChannel : public transport::ByteStream {
 
   std::uint32_t wire_id_;
   Rng& rng_;
-  std::uint32_t min_slice_;
-  std::uint32_t max_slice_;
   std::vector<transport::ByteStream*> streams_;
   SliceReorderer reorderer_;
   std::uint32_t send_seq_ = 0;

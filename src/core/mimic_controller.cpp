@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <tuple>
 
 #include "common/log.hpp"
 
@@ -13,6 +12,15 @@ namespace {
 constexpr int kMaxEndpointTries = 4096;
 constexpr int kMaxRouteTries = 64;
 constexpr const char* kFlowIdsExhausted = "m-flow ID range exhausted";
+
+// Establishment and repair install rules transactionally: a rejected or
+// lost flow-mod rolls the partial install back and the whole rule set is
+// retried, up to kInstallRetryLimit attempts, before the channel is
+// abandoned.  Attempt k waits base * 2^(k-1), clamped to the cap, plus
+// seeded jitter below base.
+constexpr int kInstallRetryLimit = 5;
+constexpr sim::SimTime kInstallBackoffBase = sim::microseconds(500);
+constexpr sim::SimTime kInstallBackoffCap = sim::milliseconds(8);
 }  // namespace
 
 MimicController::MimicController(net::Network& network,
@@ -526,15 +534,9 @@ bool MimicController::commit_now(std::uint64_t cookie,
 }
 
 sim::SimTime MimicController::retry_delay(int attempt) {
-  const sim::SimTime base = mic_config_.install_backoff_base;
-  const sim::SimTime cap = mic_config_.install_backoff_cap;
-  const int shift = std::min(attempt - 1, 20);
-  sim::SimTime backoff = base << shift;
-  if (backoff > cap || (shift > 0 && (backoff >> shift) != base)) {
-    backoff = cap;
-  }
-  const sim::SimTime jitter = base == 0 ? 0 : rng_.below(base);
-  return config().southbound_latency + backoff + jitter;
+  const sim::SimTime backoff = std::min(
+      kInstallBackoffBase << std::min(attempt - 1, 20), kInstallBackoffCap);
+  return ctrl::kSouthboundLatency + backoff + rng_.below(kInstallBackoffBase);
 }
 
 void MimicController::commit_async(ChannelId id, std::uint64_t txn,
@@ -584,7 +586,7 @@ void MimicController::commit_async(ChannelId id, std::uint64_t txn,
     for (const topo::NodeId sw : touched_switches(txn_state->ops)) {
       remove_cookie(sw, id, /*immediate=*/false);
     }
-    if (attempt >= mic_config_.install_retry_limit) {
+    if (attempt >= kInstallRetryLimit) {
       txn_state->on_done(false);
       return;
     }
@@ -726,31 +728,6 @@ EstablishResult MimicController::establish(const EstablishRequest& request) {
   return result;
 }
 
-std::vector<EstablishResult> MimicController::establish_batch(
-    const std::vector<EstablishRequest>& requests) {
-  // Group by destination so one warm PathEngine row serves every channel
-  // headed there before the planner moves on; stable so same-destination
-  // requests keep their relative order (and with it the rng_ draw order).
-  // Admission happens per request inside establish(), so a batch spends
-  // tokens exactly like the same requests sent one at a time -- batching
-  // is a planner-cache optimization, not a quota bypass.  Which requests
-  // of an over-budget batch get shed follows this destination-grouped
-  // processing order; the results still come back in request order.
-  std::vector<std::size_t> order(requests.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto dest_key = [](const EstablishRequest& r) {
-    return std::make_tuple(r.service_name, r.responder_ip.value,
-                           r.responder_port);
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return dest_key(requests[a]) < dest_key(requests[b]);
-                   });
-  std::vector<EstablishResult> results(requests.size());
-  for (const std::size_t i : order) results[i] = establish(requests[i]);
-  return results;
-}
-
 void MimicController::async_establish(
     net::Ipv4 client, std::vector<std::uint8_t> encrypted_request,
     std::uint64_t message_counter,
@@ -822,7 +799,7 @@ void MimicController::service_establish(
     if (!result.ok) {
       admission_.finish(client, admit_epoch);
       network().simulator().schedule_in(
-          config().southbound_latency + mic_config_.control_latency,
+          ctrl::kSouthboundLatency + mic_config_.control_latency,
           [cb = std::move(cb), result = std::move(result)] {
             cb(result);
           });

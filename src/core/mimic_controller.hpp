@@ -26,18 +26,6 @@ namespace mic::core {
 struct MicConfig {
   /// One-way latency between a client and the MC (dedicated control net).
   sim::SimTime control_latency = sim::microseconds(150);
-  /// Default privacy level ("the path length is set to default 3").
-  int default_mn_count = 3;
-
-  // --- rule-install robustness ----------------------------------------------
-  /// Establishment and repair install rules transactionally: a rejected or
-  /// lost flow-mod rolls the partial install back and the whole rule set is
-  /// retried, up to this many attempts, before the channel is abandoned.
-  int install_retry_limit = 5;
-  /// Capped exponential backoff between install attempts (plus seeded
-  /// jitter): attempt k waits base * 2^(k-1), clamped to the cap.
-  sim::SimTime install_backoff_base = sim::microseconds(500);
-  sim::SimTime install_backoff_cap = sim::milliseconds(8);
 
   // --- control-plane admission control ----------------------------------------
   /// Per-tenant token buckets, the bounded priority establish queue and the
@@ -120,16 +108,6 @@ class MimicController : public ctrl::Controller {
                        std::function<void(EstablishResult)> on_result,
                        ctrl::AdmitPriority priority =
                            ctrl::AdmitPriority::kFresh);
-
-  /// Establish a burst of channels in one call.  Requests are grouped by
-  /// destination so one warm PathEngine row serves every channel headed
-  /// there before the planner moves on -- under an LRU-capped row cache an
-  /// interleaved burst would otherwise recompute rows it just evicted.
-  /// Results come back in request order.  Each request draws its own
-  /// admission token (batching cannot bypass the per-tenant quotas); the
-  /// over-budget tail of a batch comes back busy.
-  std::vector<EstablishResult> establish_batch(
-      const std::vector<EstablishRequest>& requests);
 
   // --- half-open control sessions ----------------------------------------------
   //
@@ -382,7 +360,7 @@ class MimicController : public ctrl::Controller {
   // emit the ops a plan needs, and a commit applies them all-or-nothing.  On
   // any rejection the partial install is rolled back by cookie and retried
   // (capped exponential backoff with seeded jitter), up to
-  // mic_config_.install_retry_limit attempts.
+  // kInstallRetryLimit attempts (mimic_controller.cpp).
   struct InstallOp {
     topo::NodeId sw;
     std::variant<switchd::FlowRule, switchd::GroupEntry> payload;

@@ -23,12 +23,12 @@
 //      trickles (or goes quiet) is reaped after `half_open_timeout`, so
 //      slow-client attacks cannot pin MC state.
 //
-// Determinism contract (SIM-1): when enabled but unsaturated -- tokens
-// available, queue empty, service slots free -- offer() admits the request
+// Determinism contract (SIM-1): when unsaturated -- tokens available,
+// queue empty, service slots free -- offer() admits the request
 // synchronously on the caller's event, draws no randomness and arms no
 // timers, so every existing chaos-soak trace hash replays bit-identical
-// with admission control on.  Only saturated paths (queueing, shedding,
-// reaping) schedule anything.
+// with admission control in front.  Only saturated paths (queueing,
+// shedding, reaping) schedule anything.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +52,14 @@ enum class AdmitPriority : std::uint8_t {
   kFresh = 1,   // first-time establishment
 };
 
-struct AdmissionConfig {
-  /// Master switch.  Disabled short-circuits every limit (pure accounting
-  /// pass-through); the defaults below are generous enough that ordinary
-  /// workloads never saturate, which is the SIM-1 bit-identity regime.
-  bool enabled = true;
+/// Floor for the retry_after hint a shed request carries back.
+inline constexpr sim::SimTime kRetryAfterFloor = sim::milliseconds(2);
+/// Half-open control sessions tracked at once, across all tenants.
+inline constexpr std::size_t kMaxHalfOpenSessions = 4096;
 
+/// The defaults are generous enough that ordinary workloads never
+/// saturate, which is the SIM-1 bit-identity regime.
+struct AdmissionConfig {
   // --- per-tenant token bucket -----------------------------------------------
   /// Establishment tokens earned per second per tenant.
   double tenant_rate = 50'000.0;
@@ -72,11 +74,10 @@ struct AdmissionConfig {
   std::size_t queue_capacity = 4096;
   /// Establishments concurrently in the plan/install pipeline.
   std::size_t max_in_service = 1024;
-  /// Floor for the retry_after hint a shed request carries back.
-  sim::SimTime retry_after_floor = sim::milliseconds(2);
 
   // --- half-open control sessions --------------------------------------------
-  std::size_t max_half_open_sessions = 4096;
+  /// Half-open sessions one tenant may hold (the global cap is
+  /// kMaxHalfOpenSessions).
   std::size_t tenant_half_open_quota = 64;
   /// Idle deadline: a session neither completed nor touched for this long
   /// is reaped.
@@ -105,10 +106,10 @@ class AdmissionController {
              std::function<void()> run,
              std::function<void(sim::SimTime)> shed);
 
-  /// Synchronous admission (establish / establish_batch): the caller
-  /// cannot wait, so there is no queueing -- a token is drawn now or the
-  /// request is shed.  Service is instantaneous from the admission
-  /// controller's view (no finish() call).
+  /// Synchronous admission (establish): the caller cannot wait, so there
+  /// is no queueing -- a token is drawn now or the request is shed.
+  /// Service is instantaneous from the admission controller's view (no
+  /// finish() call).
   struct Ticket {
     bool admitted = false;
     sim::SimTime retry_after = 0;

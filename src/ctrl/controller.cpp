@@ -4,14 +4,21 @@
 
 namespace mic::ctrl {
 
+namespace {
+
+/// Barrier timeout remaining after the request leg already spent one
+/// southbound latency.
+constexpr sim::SimTime kReplyLegTimeout =
+    kSouthboundTimeout - kSouthboundLatency;
+
+}  // namespace
+
 Controller::Controller(net::Network& network, HostAddressing addressing,
                        ControllerConfig config)
     : network_(network),
       addressing_(std::move(addressing)),
       config_(config),
-      paths_(network.graph()) {
-  paths_.set_max_rows(config_.path_cache_max_rows);
-}
+      paths_(network.graph()) {}
 
 bool Controller::roll_control_drop() {
   if (control_drop_probability_ <= 0.0 ||
@@ -49,7 +56,7 @@ void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule,
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, r = std::move(rule)]() mutable {
         if (!op_admitted(sw, epoch)) return;
         const bool ok = switch_at(sw)->table().add_rule(std::move(r));
@@ -66,7 +73,7 @@ void Controller::install_group(topo::NodeId sw, switchd::GroupEntry group,
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, g = std::move(group)]() mutable {
         if (!op_admitted(sw, epoch)) return;
         switch_at(sw)->table().add_group(std::move(g));
@@ -83,7 +90,7 @@ void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
   if (immediate) {
     do_remove();
   } else {
-    network_.simulator().schedule_in(config_.southbound_latency, do_remove);
+    network_.simulator().schedule_in(kSouthboundLatency, do_remove);
   }
 }
 
@@ -102,12 +109,12 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
                                       std::function<void(bool)> on_result) {
   ++rules_installed_;
   if (roll_control_drop()) {
-    network_.simulator().schedule_in(config_.southbound_timeout,
+    network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, r = std::move(rule),
        cb = std::move(on_result)]() mutable {
         const bool ok =
@@ -117,10 +124,10 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
           // timeout reports failure and the caller's rollback-by-cookie
           // keeps the table consistent.
           network_.simulator().schedule_in(
-              remaining_timeout(), [cb = std::move(cb)] { cb(false); });
+              kReplyLegTimeout, [cb = std::move(cb)] { cb(false); });
           return;
         }
-        network_.simulator().schedule_in(config_.southbound_latency,
+        network_.simulator().schedule_in(kSouthboundLatency,
                                          [cb = std::move(cb), ok] { cb(ok); });
       });
 }
@@ -129,22 +136,22 @@ void Controller::install_group_checked(topo::NodeId sw,
                                        switchd::GroupEntry group,
                                        std::function<void(bool)> on_result) {
   if (roll_control_drop()) {
-    network_.simulator().schedule_in(config_.southbound_timeout,
+    network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, g = std::move(group),
        cb = std::move(on_result)]() mutable {
         const bool ok = op_admitted(sw, epoch) &&
                         switch_at(sw)->try_install_group(std::move(g));
         if (roll_control_drop()) {
           network_.simulator().schedule_in(
-              remaining_timeout(), [cb = std::move(cb)] { cb(false); });
+              kReplyLegTimeout, [cb = std::move(cb)] { cb(false); });
           return;
         }
-        network_.simulator().schedule_in(config_.southbound_latency,
+        network_.simulator().schedule_in(kSouthboundLatency,
                                          [cb = std::move(cb), ok] { cb(ok); });
       });
 }
@@ -157,7 +164,7 @@ void Controller::subscribe_packet_in() {
           // Deliver after the control-channel latency; copy the packet so
           // the callback outlives the data-plane buffer.
           network_.simulator().schedule_in(
-              config_.southbound_latency,
+              kSouthboundLatency,
               [this, node, pkt = packet, in_port] {
                 on_packet_in(node, pkt, in_port);
               });
@@ -179,7 +186,7 @@ void Controller::subscribe_port_status() {
     switch_at(sw)->add_port_status_handler(
         [this](topo::NodeId node, topo::PortId port, bool up) {
           network_.simulator().schedule_in(
-              config_.southbound_latency,
+              kSouthboundLatency,
               [this, node, port, up] { on_port_status(node, port, up); });
         });
   }

@@ -5,9 +5,9 @@
 // calculates all-pairs equal-cost shortest paths when initiation" -- we
 // keep the same query surface but compute per-destination rows on demand,
 // so start-up cost no longer scales with the full all-pairs table).
-// Southbound operations (flow-mod, group-mod) are charged a configurable
-// control-channel latency; proactive installs at simulation start are
-// immediate.
+// Southbound operations (flow-mod, group-mod) are charged a fixed
+// control-channel latency (kSouthboundLatency); proactive installs at
+// simulation start are immediate.
 #pragma once
 
 #include <cstdint>
@@ -41,28 +41,23 @@ struct HostAddressing {
   }
 };
 
+/// One-way latency of the out-of-band control channel (flow-mod install,
+/// packet-in delivery).  Mininet's localhost control channel is fast but
+/// not free.
+inline constexpr sim::SimTime kSouthboundLatency = sim::microseconds(200);
+
+/// How long a checked install waits for the switch's reply before
+/// declaring the flow-mod lost (the barrier-reply timeout).
+inline constexpr sim::SimTime kSouthboundTimeout = sim::milliseconds(2);
+static_assert(kSouthboundTimeout > 2 * kSouthboundLatency,
+              "a healthy checked install (two southbound legs) must beat "
+              "the barrier timeout");
+
 struct ControllerConfig {
-  /// One-way latency of the out-of-band control channel (flow-mod install,
-  /// packet-in delivery).  Mininet's localhost control channel is fast but
-  /// not free.
-  sim::SimTime southbound_latency = sim::microseconds(200);
-
-  /// How long a checked install waits for the switch's reply before
-  /// declaring the flow-mod lost (the barrier-reply timeout).  Must exceed
-  /// 2x southbound_latency or healthy installs would time out.
-  sim::SimTime southbound_timeout = sim::milliseconds(2);
-
   /// PHY loss-of-signal debounce configured on every switch by
   /// subscribe_port_status(): how long a port must stay down before the
   /// switch raises the async notification.
   sim::SimTime detection_latency = sim::microseconds(500);
-
-  /// Cap on the path engine's cached per-destination BFS rows
-  /// (0 = unbounded).  Rows are O(network size) each, so at million-host
-  /// scale the lazy cache needs a bound; when full, the least-recently-
-  /// queried row is evicted (and simply recomputed on the next query --
-  /// correctness is unaffected by PE-1).
-  std::size_t path_cache_max_rows = 0;
 };
 
 class Controller {
@@ -98,7 +93,7 @@ class Controller {
   // The flow-mod travels the control channel, the switch may reject it
   // (table full, injected fault), and the outcome travels back.  Either
   // message can be dropped (set_control_drop_probability); a drop surfaces
-  // as failure after southbound_timeout.  `on_result(true)` means the rule
+  // as failure after kSouthboundTimeout.  `on_result(true)` means the rule
   // is in the table; `on_result(false)` means it may or may not be -- the
   // caller must roll back by cookie before retrying.
   void install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
@@ -176,14 +171,6 @@ class Controller {
   /// Fence gate for one mutating op arriving at `sw` stamped with `epoch`
   /// (captured when the op was sent).  Counts + reports a refusal.
   bool op_admitted(topo::NodeId sw, std::uint64_t epoch);
-
-  /// Barrier timeout remaining after the request leg already spent one
-  /// southbound latency.
-  sim::SimTime remaining_timeout() const noexcept {
-    return config_.southbound_timeout > config_.southbound_latency
-               ? config_.southbound_timeout - config_.southbound_latency
-               : sim::SimTime{0};
-  }
 
   /// One chaos-knob dice roll for a checked-install control message;
   /// counts the drop when it happens.

@@ -61,7 +61,7 @@ void StandbyController::schedule_probe() {
       if (seq == probe_seq_) probe_answered_ = true;
     });
     mc_->network().simulator().schedule_in(
-        options_.heartbeat_timeout, [this, seq] { on_probe_timeout(seq); });
+        heartbeat_timeout(), [this, seq] { on_probe_timeout(seq); });
   });
 }
 
@@ -71,7 +71,7 @@ void StandbyController::on_probe_timeout(std::uint64_t seq) {
     missed_ = 0;
   } else {
     ++probes_missed_;
-    if (++missed_ >= options_.missed_heartbeat_budget) {
+    if (++missed_ >= kMissedHeartbeatBudget) {
       take_over("missed-heartbeat budget exhausted");
       return;
     }

@@ -16,6 +16,7 @@
 // primary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,6 +24,16 @@
 #include "core/mimic_controller.hpp"
 
 namespace mic::ctrl {
+
+/// Floor of the liveness-probe timeout.  A probe's reply crosses the
+/// control channel twice, so a probe waits max(floor, 4 x the primary's
+/// control_latency) -- two full round trips -- before counting as missed
+/// (see StandbyController::heartbeat_timeout()).
+inline constexpr sim::SimTime kHeartbeatTimeoutFloor = sim::milliseconds(1);
+
+/// Consecutive missed probes before the standby declares the primary dead
+/// and takes over.
+inline constexpr int kMissedHeartbeatBudget = 3;
 
 struct StandbyOptions {
   /// One-way latency of the replication stream (primary commit -> record
@@ -34,14 +45,6 @@ struct StandbyOptions {
   /// bit-identical replay harness runs in this mode; take_over() can still
   /// be invoked explicitly).
   sim::SimTime heartbeat_interval = sim::milliseconds(2);
-
-  /// How long one probe waits for the primary's reply before counting as
-  /// missed.  Must exceed two control-channel round trips.
-  sim::SimTime heartbeat_timeout = sim::milliseconds(1);
-
-  /// Consecutive missed probes before the standby declares the primary
-  /// dead and takes over.
-  int missed_heartbeat_budget = 3;
 };
 
 class StandbyController {
@@ -96,6 +99,13 @@ class StandbyController {
   std::uint64_t records_dropped_partitioned() const noexcept {
     return records_dropped_partitioned_;
   }
+  /// How long one probe waits for the primary's reply before counting as
+  /// missed: max(kHeartbeatTimeoutFloor, 4 x the primary's control_latency).
+  sim::SimTime heartbeat_timeout() const noexcept {
+    return std::max(kHeartbeatTimeoutFloor,
+                    4 * primary_.mic_config().control_latency);
+  }
+
   std::uint64_t probes_sent() const noexcept { return probes_sent_; }
   std::uint64_t probes_missed() const noexcept { return probes_missed_; }
 

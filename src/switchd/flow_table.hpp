@@ -175,7 +175,7 @@ class FlowTable {
   const FlowRule* reference_lookup(const net::Packet& packet,
                                    topo::PortId in_port) const noexcept;
 
-  /// Runtime audit of FT-1 (registered as "FT-1" in audit::Registry).
+  /// Runtime audit of FT-1 (see core/audit_registry.hpp).
   /// Structural half: every rule is covered by exactly one tier and every
   /// index entry points at the highest-precedence exact rule for its key.
   /// Behavioural half: for a probe packet synthesized from each rule's

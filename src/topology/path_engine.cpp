@@ -53,30 +53,6 @@ PathEngine::Row PathEngine::compute_row(NodeId dst) const {
   return row;
 }
 
-void PathEngine::evict_over_cap(NodeId keep) const {
-  if (max_rows_ == 0) return;
-  while (rows_.size() > max_rows_) {
-    auto victim = rows_.end();
-    for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == rows_.end() ||
-          it->second.last_used < victim->second.last_used ||
-          (it->second.last_used == victim->second.last_used &&
-           it->first < victim->first)) {
-        victim = it;
-      }
-    }
-    if (victim == rows_.end()) return;  // only `keep` is cached
-    rows_.erase(victim);
-    ++stats_.rows_evicted;
-  }
-}
-
-void PathEngine::set_max_rows(std::size_t max) {
-  max_rows_ = max;
-  evict_over_cap(kInvalidNode);
-}
-
 const PathEngine::Row& PathEngine::row(NodeId dst) const {
   MIC_ASSERT(dst < n_);
   auto it = rows_.find(dst);
@@ -85,9 +61,7 @@ const PathEngine::Row& PathEngine::row(NodeId dst) const {
   } else {
     it = rows_.emplace(dst, compute_row(dst)).first;
     ++stats_.rows_computed;
-    evict_over_cap(dst);
   }
-  it->second.last_used = ++use_clock_;
   return it->second;
 }
 

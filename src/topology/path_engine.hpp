@@ -10,8 +10,11 @@
 // path sampling walks one row's shortest-path DAG.
 //
 // Rows are therefore computed on demand, one BFS per destination, and
-// cached.  Each row stores its successor DAG in a flat CSR layout (one
-// offsets array plus one flat buffer -- no per-cell heap vectors).  On a
+// cached.  Nothing evicts a row: the cache holds at most one row per
+// destination, and a reference to a cached row stays valid until the next
+// change to the failure set (which may drop it).  Each row stores its
+// successor DAG in a flat CSR layout (one offsets array plus one flat
+// buffer -- no per-cell heap vectors).  On a
 // link failure the engine bumps a failure epoch and drops only the rows
 // whose shortest-path DAG could have used the failed link (see
 // row_uses_link); retained rows stay byte-identical and are merely
@@ -28,7 +31,7 @@
 // are a pure function of its destination -- independent of query order and
 // of which rows were populated first -- so sampling with a fixed-seed Rng is
 // deterministic regardless of how the cache was populated.  self_check()
-// is the runtime audit of PE-1 (registered as "PE-1" in audit::Registry).
+// is the runtime audit of PE-1 ("PE-1" in the audit table).
 //
 // AllPairsPaths remains in the tree as the reference oracle for the
 // differential tests (tests/test_pathengine_diff.cpp).
@@ -52,7 +55,10 @@ struct PathEngineStats {
   std::uint64_t row_hits = 0;         // queries served from the cache
   std::uint64_t rows_invalidated = 0; // rows dropped by failure epochs
   std::uint64_t rows_retained = 0;    // rows that survived an epoch bump
-  std::uint64_t rows_evicted = 0;     // rows dropped by the LRU cap
+  /// Leftover of the removed LRU row cap: rows are never evicted, so this
+  /// is always 0.  It stays only because the benchmark pins it; it goes
+  /// when the benchmark is next revised.
+  std::uint64_t rows_evicted = 0;
 };
 
 class PathEngine {
@@ -111,17 +117,6 @@ class PathEngine {
     return failed_;
   }
 
-  /// Cap the row cache at `max` entries (0 = unbounded, the default).
-  /// When a fresh row would push the cache over the cap, the
-  /// least-recently-queried row is evicted -- never the one just
-  /// inserted -- with ties broken toward the smallest destination id so
-  /// eviction order is deterministic (PE-1 makes recomputation safe: an
-  /// evicted row costs one BFS on its next query, nothing else).
-  /// Lowering the cap below the current cache size evicts immediately.
-  void set_max_rows(std::size_t max);
-
-  std::size_t max_rows() const noexcept { return max_rows_; }
-
   /// Monotone counter, bumped by every link_failed()/link_restored().
   std::uint32_t failure_epoch() const noexcept { return epoch_; }
 
@@ -149,7 +144,6 @@ class PathEngine {
   /// graph's deterministic adjacency order.
   struct Row {
     std::uint32_t epoch = 0;
-    std::uint64_t last_used = 0;         // LRU stamp
     std::vector<std::uint32_t> dist;     // dist[x] = hops x -> dst
     std::vector<std::uint32_t> offsets;  // CSR offsets, size n + 1
     std::vector<NodeId> nexts;           // flat successor buffer
@@ -161,10 +155,9 @@ class PathEngine {
 
   /// Pure function of (graph_, failed_, dst).
   Row compute_row(NodeId dst) const;
-  /// The cached row for `dst`, computed on a miss.  The reference stays
-  /// valid until the next miss (which may evict it under the LRU cap) or
-  /// failure-set change; sample_shortest_path and enumerate_rec hold one
-  /// across a walk and never query another row meanwhile.
+  /// The cached row for `dst`, computed on a miss.  Rows are never
+  /// evicted, so the reference stays valid until the next change to the
+  /// failure set (link_failed / link_restored).
   const Row& row(NodeId dst) const;
 
   /// Does dropping or restoring the link (a, b) change this row?  Only if
@@ -184,11 +177,6 @@ class PathEngine {
 
   void invalidate_rows_touching(LinkId link);
 
-  /// Evict least-recently-queried rows until the cache respects max_rows_;
-  /// never evicts `keep` (the row the caller just inserted and is about to
-  /// hand out).  Pass kInvalidNode to protect nothing.
-  void evict_over_cap(NodeId keep) const;
-
   void enumerate_rec(const Row& row, NodeId cur, NodeId dst, Path& prefix,
                      std::vector<Path>& out, std::size_t limit) const;
 
@@ -202,8 +190,6 @@ class PathEngine {
   // Row cache + stats; mutable so const queries can memoize.
   mutable std::unordered_map<NodeId, Row> rows_;
   mutable PathEngineStats stats_;
-  std::size_t max_rows_ = 0;  // 0 = unbounded
-  mutable std::uint64_t use_clock_ = 0;
 };
 
 }  // namespace mic::topo

@@ -122,7 +122,7 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
 
   // Not yet installed...
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
-  fabric.simulator().run_until(fabric.mc().config().southbound_latency / 2);
+  fabric.simulator().run_until(kSouthboundLatency / 2);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
   // ...but installed after the southbound latency.
   fabric.simulator().run_until();

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/audit_registry.hpp"
@@ -245,6 +246,29 @@ TEST(Failover, MissedHeartbeatsPromoteTheStandby) {
   c3->close();
   bed.fabric.simulator().run_until();
   EXPECT_TRUE(bed.fabric.simulator().idle());
+}
+
+TEST(Failover, SlowControlChannelDoesNotDeposeAHealthyPrimary) {
+  // A probe's reply crosses the control channel twice.  However slow that
+  // channel is, a primary that answers every probe must keep its job, and
+  // one that dies must still be replaced.
+  for (const sim::SimTime latency :
+       {sim::microseconds(600), sim::milliseconds(2)}) {
+    SCOPED_TRACE("control_latency " + std::to_string(latency) + " ns");
+    FabricOptions fo;
+    fo.mic.control_latency = latency;
+    FailoverBed bed(fo);
+    bed.run_for(sim::milliseconds(60));
+    EXPECT_FALSE(bed.standby.active());
+    EXPECT_GT(bed.standby.probes_sent(), 3u);
+    EXPECT_EQ(bed.standby.probes_missed(), 0u);
+    EXPECT_EQ(bed.directory.failovers(), 0u);
+
+    bed.kill_primary();
+    bed.run_for(sim::milliseconds(60));
+    EXPECT_TRUE(bed.standby.active());
+    EXPECT_EQ(bed.directory.failovers(), 1u);
+  }
 }
 
 TEST(Failover, DoubleFailoverNeverReusesIds) {

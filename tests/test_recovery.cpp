@@ -1,9 +1,8 @@
 // Controller crash-recovery: the write-ahead channel journal (round-trip,
 // compaction, truncation), crash()/recover() with switch resync and
 // orphan-rule reconciliation (RC-1), client-side survival of controller
-// silence (establishment timeout, heartbeat re-attach), and the satellite
-// behaviours that ride along: the PathEngine LRU row cap, selective L3
-// reinstall counters, and destination-batched establishment.
+// silence (establishment timeout, heartbeat re-attach), selective L3
+// reinstall counters, and recovery of synchronously established channels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
 #include "topology/fattree.hpp"
-#include "topology/path_engine.hpp"
 
 namespace mic::core {
 namespace {
@@ -384,60 +382,6 @@ TEST(ClientSurvival, ProbeReportsDeadChannelAndClientReestablishes) {
   EXPECT_TRUE(bed.fabric.simulator().idle());
 }
 
-// --- PathEngine LRU cap (satellite) ------------------------------------------
-
-TEST(PathCacheLru, CapEvictsLeastRecentlyQueriedRow) {
-  topo::FatTree ft(4);
-  topo::PathEngine engine(ft.graph());
-  engine.set_max_rows(2);
-  EXPECT_EQ(engine.max_rows(), 2u);
-
-  const auto hosts = ft.graph().hosts();
-  const topo::NodeId a = hosts[0], b = hosts[1], c = hosts[2];
-
-  engine.distance(a, a);  // computes row a
-  engine.distance(a, b);  // computes row b
-  engine.distance(a, a);  // touches a: b is now the LRU row
-  engine.distance(a, c);  // computes row c, evicting b
-  EXPECT_EQ(engine.cached_rows(), 2u);
-  EXPECT_EQ(engine.stats().rows_computed, 3u);
-  EXPECT_EQ(engine.stats().rows_evicted, 1u);
-
-  engine.distance(a, a);  // still cached: no recompute
-  EXPECT_EQ(engine.stats().rows_computed, 3u);
-  engine.distance(a, b);  // was evicted: recomputed, evicting c (LRU)
-  EXPECT_EQ(engine.stats().rows_computed, 4u);
-  EXPECT_EQ(engine.stats().rows_evicted, 2u);
-
-  // Shrinking the cap evicts down to it immediately.
-  engine.set_max_rows(1);
-  EXPECT_EQ(engine.cached_rows(), 1u);
-  EXPECT_EQ(engine.stats().rows_evicted, 3u);
-
-  std::vector<std::string> violations;
-  engine.self_check(violations);
-  EXPECT_TRUE(violations.empty()) << violations.front();
-}
-
-TEST(PathCacheLru, ControllerConfigCapHoldsThroughEstablishment) {
-  FabricOptions fo;
-  fo.controller.path_cache_max_rows = 2;
-  RecoveryBed bed(fo);
-  EXPECT_LE(bed.fabric.mc().path_engine().cached_rows(), 2u);
-
-  auto client = bed.client(0, bed.options());
-  bed.run();
-  ASSERT_TRUE(client->ready());
-  EXPECT_LE(bed.fabric.mc().path_engine().cached_rows(), 2u);
-  EXPECT_GT(bed.fabric.mc().path_engine().stats().rows_evicted, 0u);
-
-  constexpr std::uint64_t kBytes = 64 * 1024;
-  client->send(transport::Chunk::virtual_bytes(kBytes));
-  bed.run();
-  EXPECT_EQ(bed.received, kBytes);
-  EXPECT_TRUE(audit::run_all(bed.fabric).ok);
-}
-
 // --- selective L3 reinstall (satellite) --------------------------------------
 
 TEST(SelectiveReroute, OnlySwitchesWithChangedNextHopsReinstall) {
@@ -474,15 +418,16 @@ TEST(SelectiveReroute, OnlySwitchesWithChangedNextHopsReinstall) {
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
 }
 
-// --- batched establishment (satellite) ---------------------------------------
+// --- synchronous establishment ----------------------------------------------
 
-TEST(EstablishBatch, ResultsComeBackInRequestOrder) {
+TEST(CrashRecovery, SynchronouslyEstablishedChannelsRecoverInPlace) {
   RecoveryBed bed;
   bed.fabric.host(13).listen(7100, [](transport::TcpConnection&) {});
 
   // Interleave two destinations and vary flow counts so each result is
   // attributable to its request by shape.
   std::vector<EstablishRequest> requests;
+  std::vector<EstablishResult> results;
   for (int i = 0; i < 4; ++i) {
     EstablishRequest r;
     r.initiator_ip = bed.fabric.ip(static_cast<std::size_t>(i));
@@ -495,11 +440,9 @@ TEST(EstablishBatch, ResultsComeBackInRequestOrder) {
           static_cast<net::L4Port>(42000 + 10 * i + f));
     }
     requests.push_back(r);
+    results.push_back(bed.fabric.mc().establish(r));
   }
 
-  const std::vector<EstablishResult> results =
-      bed.fabric.mc().establish_batch(requests);
-  ASSERT_EQ(results.size(), requests.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     ASSERT_TRUE(results[i].ok) << results[i].error;
@@ -514,8 +457,8 @@ TEST(EstablishBatch, ResultsComeBackInRequestOrder) {
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
 
-  // The batch is journaled like any other establishment: a crash right
-  // now recovers all of them.
+  // Synchronous establishments are journaled like asynchronous ones: a
+  // crash right now recovers all of them in place.
   bed.fabric.mc().crash();
   const auto report = bed.fabric.mc().recover(bed.fabric.mc().journal());
   bed.run();
