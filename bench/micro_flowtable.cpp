@@ -48,7 +48,7 @@ BenchTable build_exact_table(int rules, mic::Rng& rng) {
     packet.dport = *rule.match.dport;
     packet.mpls = *rule.match.mpls;
     packet.tcp.payload_len = 64;
-    if (bench.table.add_rule(std::move(rule))) {
+    if (bench.table.add(std::move(rule))) {
       bench.packets.push_back(packet);
     }
   }
@@ -56,7 +56,7 @@ BenchTable build_exact_table(int rules, mic::Rng& rng) {
   FlowRule fallback;
   fallback.priority = 1;
   fallback.actions = {Output{0}};
-  bench.table.add_rule(std::move(fallback));
+  bench.table.add(std::move(fallback));
   return bench;
 }
 
@@ -113,7 +113,7 @@ void BM_FlowTableInstall(benchmark::State& state) {
       rule.priority = static_cast<std::uint16_t>(rng.below(200));
       rule.match.mpls = static_cast<std::uint32_t>(rng.next()) | 1;
       rule.actions = {Output{1}};
-      benchmark::DoNotOptimize(table.add_rule(std::move(rule)));
+      benchmark::DoNotOptimize(table.add(std::move(rule)));
     }
   }
 }

@@ -14,6 +14,36 @@ void assert_serial_engine(const FabricOptions& options) {
   MIC_ASSERT_MSG(!options.sim_parallel, kRemoved);
 }
 
+/// The wiring both fabrics share: an SDN switch on every switch node, a
+/// host on every addressed node, then the MC with (optionally) default
+/// routing and failure detection.  Fills `hosts` in `host_addrs` order.
+std::unique_ptr<MimicController> wire_fabric(
+    net::Network& network, const topo::Graph& graph,
+    const std::vector<std::pair<topo::NodeId, net::Ipv4>>& host_addrs,
+    const FabricOptions& options, Rng& rng,
+    std::vector<transport::Host*>& hosts) {
+  assert_serial_engine(options);
+  ctrl::HostAddressing addressing;
+  for (const topo::NodeId sw : graph.switches()) {
+    network.set_device(sw, std::make_unique<switchd::SdnSwitch>());
+  }
+  for (const auto& [node, ip] : host_addrs) {
+    MIC_ASSERT_MSG(graph.is_host(node), "host address on a switch node");
+    auto host = std::make_unique<transport::Host>(ip);
+    hosts.push_back(host.get());
+    addressing.add(node, ip);
+    network.set_device(node, std::move(host));
+  }
+  auto mc = std::make_unique<MimicController>(
+      network, std::move(addressing), rng.next(), options.mic,
+      options.controller);
+  if (options.install_default_routing) mc->install_default_routing();
+  // Loss of signal anywhere in the fabric reaches the MC by itself; the
+  // harness only has to flip links, never to report them.
+  mc->enable_failure_detection();
+  return mc;
+}
+
 }  // namespace
 
 Fabric::Fabric(FabricOptions options)
@@ -21,27 +51,12 @@ Fabric::Fabric(FabricOptions options)
       fattree_(options.k),
       network_(simulator_, fattree_.graph(), options.link),
       rng_(options.seed) {
-  assert_serial_engine(options_);
-  ctrl::HostAddressing addressing;
-  for (const topo::NodeId sw : fattree_.graph().switches()) {
-    network_.set_device(sw, std::make_unique<switchd::SdnSwitch>());
-  }
+  std::vector<std::pair<topo::NodeId, net::Ipv4>> host_addrs;
   for (const topo::NodeId h : fattree_.hosts()) {
-    const net::Ipv4 ip{fattree_.host_ip(h)};
-    auto host = std::make_unique<transport::Host>(ip);
-    hosts_.push_back(host.get());
-    addressing.add(h, ip);
-    network_.set_device(h, std::move(host));
+    host_addrs.emplace_back(h, net::Ipv4{fattree_.host_ip(h)});
   }
-  mc_ = std::make_unique<MimicController>(network_, std::move(addressing),
-                                          rng_.next(), options_.mic,
-                                          options_.controller);
-  if (options_.install_default_routing) {
-    mc_->install_default_routing();
-  }
-  // Loss of signal anywhere in the fabric reaches the MC by itself; the
-  // harness only has to flip links, never to report them.
-  mc_->enable_failure_detection();
+  mc_ = wire_fabric(network_, fattree_.graph(), host_addrs, options_, rng_,
+                    hosts_);
 }
 
 GenericFabric::GenericFabric(
@@ -51,25 +66,7 @@ GenericFabric::GenericFabric(
     : host_addrs_(std::move(host_addrs)),
       network_(simulator_, graph, options.link),
       rng_(options.seed) {
-  assert_serial_engine(options);
-  ctrl::HostAddressing addressing;
-  for (const topo::NodeId sw : graph.switches()) {
-    network_.set_device(sw, std::make_unique<switchd::SdnSwitch>());
-  }
-  for (const auto& [node, ip] : host_addrs_) {
-    MIC_ASSERT_MSG(graph.is_host(node), "host address on a switch node");
-    auto host = std::make_unique<transport::Host>(ip);
-    hosts_.push_back(host.get());
-    addressing.add(node, ip);
-    network_.set_device(node, std::move(host));
-  }
-  mc_ = std::make_unique<MimicController>(network_, std::move(addressing),
-                                          rng_.next(), options.mic,
-                                          options.controller);
-  if (options.install_default_routing) {
-    mc_->install_default_routing();
-  }
-  mc_->enable_failure_detection();
+  mc_ = wire_fabric(network_, graph, host_addrs_, options, rng_, hosts_);
 }
 
 }  // namespace mic::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "common/log.hpp"
 
@@ -21,6 +22,52 @@ constexpr const char* kFlowIdsExhausted = "m-flow ID range exhausted";
 constexpr int kInstallRetryLimit = 5;
 constexpr sim::SimTime kInstallBackoffBase = sim::microseconds(500);
 constexpr sim::SimTime kInstallBackoffCap = sim::milliseconds(8);
+
+MTuple tuple_of(const HopAddresses& hop) {
+  return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
+}
+
+HopAddresses hop_of(const MTuple& tuple) {
+  return HopAddresses{tuple.src, tuple.dst, tuple.sport, tuple.dport,
+                      tuple.mpls};
+}
+
+/// Calls `fn(path, mn_positions, hops, decoys)` for the plan's forward
+/// direction, then for its reverse one: the path reversed, the MN
+/// positions mirrored onto it (ascending), `plan.reverse` as the address
+/// sequence, and no decoys (they replicate at the first forward MN only).
+template <typename Plan, typename Fn>
+void for_each_direction(Plan& plan, Fn&& fn) {
+  fn(plan.path, plan.mn_positions, plan.forward,
+     std::span<const DecoyPlan>(plan.decoys));
+  const topo::Path rpath(plan.path.rbegin(), plan.path.rend());
+  std::vector<std::size_t> rpositions;
+  rpositions.reserve(plan.mn_positions.size());
+  for (const std::size_t pos : plan.mn_positions) {
+    rpositions.push_back(plan.path.size() - 1 - pos);
+  }
+  std::sort(rpositions.begin(), rpositions.end());
+  fn(rpath, rpositions, plan.reverse, std::span<const DecoyPlan>());
+}
+
+/// The per-MN tuple walk, in allocation order: `on_middle(mn, next_hop,
+/// hop)` for every middle segment -- hop j (1..N-1) of a direction is the
+/// tuple its j-th MN rewrites to -- forward direction first, then
+/// `on_decoy(first_mn, decoy)` for every decoy in plan order.
+template <typename Plan, typename OnMiddle, typename OnDecoy>
+void for_each_mn_tuple(Plan& plan, OnMiddle&& on_middle, OnDecoy&& on_decoy) {
+  for_each_direction(plan, [&](const topo::Path& path,
+                               const std::vector<std::size_t>& positions,
+                               auto& hops, std::span<const DecoyPlan>) {
+    for (std::size_t j = 1; j < positions.size(); ++j) {
+      const std::size_t pos = positions[j - 1];
+      on_middle(path[pos], path[pos + 1], hops[j]);
+    }
+  });
+  if (plan.mn_positions.empty()) return;
+  const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
+  for (const DecoyPlan& decoy : plan.decoys) on_decoy(first_mn, decoy);
+}
 }  // namespace
 
 MimicController::MimicController(net::Network& network,
@@ -149,9 +196,6 @@ bool MimicController::sample_route_and_positions(const PlanContext& ctx,
 
 void MimicController::generate_middle_tuples(const PlanContext& ctx,
                                              MFlowPlan& plan) {
-  const auto& g = graph();
-  const std::size_t n = plan.mn_positions.size();
-
   // Intermediate m-addresses never display the real endpoints: a middle
   // vantage must see *neither* participant (Sec V).  Falls back to the raw
   // restriction set only if filtering would empty it.
@@ -163,36 +207,18 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
     return out.empty() ? in : out;
   };
 
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::size_t pos = plan.mn_positions[j - 1];
-    const topo::NodeId mn = plan.path[pos];
-    const topo::PortId egress = g.port_towards(mn, plan.path[pos + 1]);
-    const MTuple tuple = registry_.generate(
-        mn, plan.flow_id,
-        hide_endpoints(restrictions_.allowed_src(mn, egress)),
-        hide_endpoints(restrictions_.allowed_dst(mn, egress)));
-    plan.forward[j] = {tuple.src, tuple.dst, tuple.sport, tuple.dport,
-                       tuple.mpls};
-  }
-
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  rpositions.reserve(n);
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::size_t pos = rpositions[j - 1];
-    const topo::NodeId mn = rpath[pos];
-    const topo::PortId egress = g.port_towards(mn, rpath[pos + 1]);
-    const MTuple tuple = registry_.generate(
-        mn, plan.flow_id,
-        hide_endpoints(restrictions_.allowed_src(mn, egress)),
-        hide_endpoints(restrictions_.allowed_dst(mn, egress)));
-    plan.reverse[j] = {tuple.src, tuple.dst, tuple.sport, tuple.dport,
-                       tuple.mpls};
-  }
+  // Decoys are generated after the middles (generate_decoys), so the walk
+  // visits none here.
+  for_each_mn_tuple(
+      plan,
+      [&](topo::NodeId mn, topo::NodeId next_hop, HopAddresses& hop) {
+        const topo::PortId egress = graph().port_towards(mn, next_hop);
+        hop = hop_of(registry_.generate(
+            mn, plan.flow_id,
+            hide_endpoints(restrictions_.allowed_src(mn, egress)),
+            hide_endpoints(restrictions_.allowed_dst(mn, egress))));
+      },
+      [](topo::NodeId, const DecoyPlan&) {});
 }
 
 bool MimicController::generate_decoys(int count, MFlowPlan& plan) {
@@ -288,8 +314,6 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
     }
   }
 
-  const std::size_t sw_count = out.path.size() - 2;
-  (void)sw_count;
   out.forward.resize(n + 1);
   out.reverse.resize(n + 1);
   out.forward[0] = {ctx.initiator_ip, entry_ip, initiator_sport, entry_port,
@@ -354,28 +378,7 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
   // Release the middle tuples and decoys of the old route; the endpoint
   // addresses, ports and flow ID stay -- the transport connection must not
   // notice the migration.
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
-  {
-    topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-    std::vector<std::size_t> rpositions;
-    for (const std::size_t pos : plan.mn_positions) {
-      rpositions.push_back(plan.path.size() - 1 - pos);
-    }
-    std::sort(rpositions.begin(), rpositions.end());
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.release_tuples(plan.path[plan.mn_positions[j - 1]],
-                               {tuple_of(plan.forward[j])});
-      registry_.release_tuples(rpath[rpositions[j - 1]],
-                               {tuple_of(plan.reverse[j])});
-    }
-    const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-    for (const DecoyPlan& decoy : plan.decoys) {
-      registry_.release_flow_id(decoy.flow_id);
-      registry_.release_tuples(first_mn, {decoy.tuple});
-    }
-  }
+  release_mn_tuples(plan);
   const int decoy_count = static_cast<int>(plan.decoys.size());
   plan.decoys.clear();
 
@@ -389,11 +392,10 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
 }
 
 void MimicController::install_direction(
-    ChannelId id, const MFlowPlan& plan, const topo::Path& path,
+    ChannelId id, const topo::Path& path,
     const std::vector<std::size_t>& mn_positions,
-    const std::vector<HopAddresses>& hops,
-    const std::vector<DecoyPlan>& decoys, std::vector<InstallOp>& ops,
-    std::uint32_t& group_alloc) const {
+    const std::vector<HopAddresses>& hops, std::span<const DecoyPlan> decoys,
+    std::vector<InstallOp>& ops, std::uint32_t& group_alloc) const {
   const auto& g = graph();
   const std::size_t n = mn_positions.size();
 
@@ -463,9 +465,7 @@ void MimicController::install_direction(
       group.cookie = id;
       group.buckets.push_back(std::move(actions));
       for (const DecoyPlan& decoy : decoys) {
-        const HopAddresses decoy_hop{decoy.tuple.src, decoy.tuple.dst,
-                                     decoy.tuple.sport, decoy.tuple.dport,
-                                     decoy.tuple.mpls};
+        const HopAddresses decoy_hop = hop_of(decoy.tuple);
         auto bucket = rewrite_actions(decoy_hop);
         bucket.push_back(switchd::Output{decoy.out_port});
         group.buckets.push_back(std::move(bucket));
@@ -487,22 +487,17 @@ void MimicController::install_direction(
     }
     ops.emplace_back(sw, std::move(rule));
   }
-  (void)plan;
 }
 
 void MimicController::install_flow(ChannelId id, const MFlowPlan& plan,
                                    std::vector<InstallOp>& ops,
                                    std::uint32_t& group_alloc) const {
-  install_direction(id, plan, plan.path, plan.mn_positions, plan.forward,
-                    plan.decoys, ops, group_alloc);
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
-  install_direction(id, plan, rpath, rpositions, plan.reverse, {}, ops,
-                    group_alloc);
+  for_each_direction(plan, [&](const topo::Path& path,
+                               const std::vector<std::size_t>& positions,
+                               const std::vector<HopAddresses>& hops,
+                               std::span<const DecoyPlan> decoys) {
+    install_direction(id, path, positions, hops, decoys, ops, group_alloc);
+  });
 }
 
 std::vector<topo::NodeId> MimicController::touched_switches(
@@ -518,12 +513,7 @@ std::vector<topo::NodeId> MimicController::touched_switches(
 bool MimicController::commit_now(std::uint64_t cookie,
                                  const std::vector<InstallOp>& ops) {
   for (const InstallOp& op : ops) {
-    const bool ok =
-        std::holds_alternative<switchd::FlowRule>(op.payload)
-            ? install_rule_now(op.sw, std::get<switchd::FlowRule>(op.payload))
-            : install_group_now(op.sw,
-                                std::get<switchd::GroupEntry>(op.payload));
-    if (!ok) {
+    if (!apply_now(op.sw, op.op)) {
       for (const topo::NodeId sw : touched_switches(ops)) {
         remove_cookie(sw, cookie, /*immediate=*/true);
       }
@@ -599,12 +589,7 @@ void MimicController::commit_async(ChannelId id, std::uint64_t txn,
   };
 
   for (const InstallOp& op : txn_state->ops) {
-    if (const auto* rule = std::get_if<switchd::FlowRule>(&op.payload)) {
-      install_rule_checked(op.sw, *rule, settle);
-    } else {
-      install_group_checked(op.sw, std::get<switchd::GroupEntry>(op.payload),
-                            settle);
-    }
+    apply_checked(op.sw, op.op, settle);
   }
 }
 
@@ -711,13 +696,9 @@ EstablishResult MimicController::establish(const EstablishRequest& request) {
   EstablishResult result = plan_channel(request, ops);
   if (!result.ok) return result;
   if (!commit_now(result.channel, ops)) {
-    const auto it = channels_.find(result.channel);
-    for (const MFlowPlan& plan : it->second.flows) {
-      release_plan_resources(plan);
-    }
+    drop_channel(channels_.find(result.channel));
     journal_.record_teardown(result.channel);
     journal_.commit_boundary();
-    channels_.erase(it);
     EstablishResult failed;
     failed.error = "rule install rejected; channel rolled back";
     return failed;
@@ -820,12 +801,8 @@ void MimicController::service_establish(
           const bool current =
               alive && it->second.install_txn == 1;
           if (!committed && current) {
-            for (const MFlowPlan& plan : it->second.flows) {
-              release_plan_resources(plan);
-            }
+            drop_channel(it);
             journal_.record_teardown(id);
-            channels_.erase(it);
-            listeners_.erase(id);
             result = EstablishResult{};
             result.error = "rule install failed after retries";
           } else if (!committed && !alive) {
@@ -873,37 +850,26 @@ bool MimicController::complete_control_session(
   return true;
 }
 
+void MimicController::release_mn_tuples(const MFlowPlan& plan) {
+  for_each_mn_tuple(
+      plan,
+      [this](topo::NodeId mn, topo::NodeId, const HopAddresses& hop) {
+        registry_.release_tuples(mn, {tuple_of(hop)});
+      },
+      [this](topo::NodeId first_mn, const DecoyPlan& decoy) {
+        registry_.release_flow_id(decoy.flow_id);
+        registry_.release_tuples(first_mn, {decoy.tuple});
+      });
+}
+
 void MimicController::release_plan_resources(const MFlowPlan& plan) {
+  // Flow IDs return to a LIFO free list: the plan's own ID goes first, then
+  // its decoys' in order, so reuse order stays reproducible.
   registry_.release_flow_id(plan.flow_id);
-  const std::size_t n = plan.mn_positions.size();
-
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
-
-  for (std::size_t j = 1; j < n; ++j) {
-    const topo::NodeId mn = plan.path[plan.mn_positions[j - 1]];
-    registry_.release_tuples(mn, {tuple_of(plan.forward[j])});
-  }
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
-  for (std::size_t j = 1; j < n; ++j) {
-    const topo::NodeId mn = rpath[rpositions[j - 1]];
-    registry_.release_tuples(mn, {tuple_of(plan.reverse[j])});
-  }
-  if (!plan.mn_positions.empty()) {
-    const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-    for (const DecoyPlan& decoy : plan.decoys) {
-      registry_.release_flow_id(decoy.flow_id);
-      registry_.release_tuples(first_mn, {decoy.tuple});
-    }
-  }
+  release_mn_tuples(plan);
 
   // Release the entry / presented endpoint reservations.
+  const std::size_t n = plan.mn_positions.size();
   reserved_endpoints_.erase(endpoint_key(plan.forward[0].src, 0,
                                          plan.forward[0].dst,
                                          plan.forward[0].dport));
@@ -911,6 +877,15 @@ void MimicController::release_plan_resources(const MFlowPlan& plan) {
                                          plan.forward[n].sport,
                                          plan.forward[n].dst,
                                          plan.forward[n].dport));
+}
+
+MimicController::ChannelListener MimicController::drop_channel(
+    ChannelMap::iterator it) {
+  const ChannelId id = it->first;
+  for (const MFlowPlan& plan : it->second.flows) release_plan_resources(plan);
+  channels_.erase(it);
+  auto listener = listeners_.extract(id);
+  return listener.empty() ? ChannelListener{} : std::move(listener.mapped());
 }
 
 void MimicController::teardown(ChannelId id, bool immediate) {
@@ -922,11 +897,7 @@ void MimicController::teardown(ChannelId id, bool immediate) {
   for (const topo::NodeId sw : it->second.touched_switches) {
     remove_cookie(sw, id, immediate);
   }
-  for (const MFlowPlan& plan : it->second.flows) {
-    release_plan_resources(plan);
-  }
-  channels_.erase(it);
-  listeners_.erase(id);
+  drop_channel(it);
 }
 
 // --- failure handling ---------------------------------------------------------
@@ -977,20 +948,23 @@ void MimicController::clear_channel_listener(ChannelId id) {
   listeners_.erase(id);
 }
 
+void MimicController::notify_channel_event(const ChannelListener& listener,
+                                           ChannelEvent event,
+                                           std::string reason) {
+  if (!listener) return;
+  network().simulator().schedule_in(
+      mic_config_.control_latency,
+      [listener, event, reason = std::move(reason)] {
+        listener(event, reason);
+      });
+}
+
 void MimicController::notify_channel_event(ChannelId id, ChannelEvent event,
                                            std::string reason) {
   const auto it = listeners_.find(id);
-  if (it == listeners_.end()) {
-    if (event == ChannelEvent::kLost) listeners_.erase(id);
-    return;
+  if (it != listeners_.end()) {
+    notify_channel_event(it->second, event, std::move(reason));
   }
-  network().simulator().schedule_in(
-      mic_config_.control_latency,
-      [listener = it->second, event, reason = std::move(reason)] {
-        listener(event, reason);
-      });
-  // A lost channel's listener can never fire again.
-  if (event == ChannelEvent::kLost) listeners_.erase(it);
 }
 
 void MimicController::lose_channel(ChannelId id, const std::string& reason) {
@@ -1002,13 +976,37 @@ void MimicController::lose_channel(ChannelId id, const std::string& reason) {
   for (const topo::NodeId sw : it->second.touched_switches) {
     remove_cookie(sw, id, /*immediate=*/false);
   }
-  for (const MFlowPlan& plan : it->second.flows) {
-    release_plan_resources(plan);
-  }
-  channels_.erase(it);
+  const ChannelListener listener = drop_channel(it);
   ++channels_lost_;
   journal_.commit_boundary();
-  notify_channel_event(id, ChannelEvent::kLost, reason);
+  notify_channel_event(listener, ChannelEvent::kLost, reason);
+}
+
+void MimicController::reinstall_channel(ChannelState& state,
+                                        std::string cause,
+                                        std::function<void()> on_committed) {
+  const ChannelId id = state.id;
+  std::vector<InstallOp> ops;
+  for (const MFlowPlan& plan : state.flows) {
+    install_flow(id, plan, ops, next_group_);
+  }
+  state.touched_switches = touched_switches(ops);
+  const std::uint64_t txn = ++state.install_txn;
+  journal_.record_repair(state, next_channel_, next_group_);
+  commit_async(id, txn, std::move(ops),
+               [this, id, txn, cause = std::move(cause),
+                on_committed = std::move(on_committed)](bool committed) {
+                 const auto it = channels_.find(id);
+                 if (it == channels_.end() || it->second.install_txn != txn) {
+                   return;  // superseded by a later repair or teardown
+                 }
+                 if (!committed) {
+                   lose_channel(id, cause + ": rule re-install failed after "
+                                            "retries");
+                 } else if (on_committed) {
+                   on_committed();
+                 }
+               });
 }
 
 MimicController::RepairOutcome MimicController::repair_channels(
@@ -1038,29 +1036,10 @@ MimicController::RepairOutcome MimicController::repair_channels(
       continue;
     }
 
-    std::vector<InstallOp> ops;
-    for (const MFlowPlan& plan : state.flows) {
-      install_flow(id, plan, ops, next_group_);
-    }
-    state.touched_switches = touched_switches(ops);
-    const std::uint64_t txn = ++state.install_txn;
-    journal_.record_repair(state, next_channel_, next_group_);
-    commit_async(id, txn, std::move(ops),
-                 [this, id, txn, cause](bool committed) {
-                   const auto it = channels_.find(id);
-                   if (it == channels_.end() ||
-                       it->second.install_txn != txn) {
-                     return;  // superseded by a later repair or teardown
-                   }
-                   if (committed) {
-                     ++channels_repaired_;
-                     notify_channel_event(id, ChannelEvent::kRepaired, cause);
-                   } else {
-                     lose_channel(id,
-                                  cause + ": rule re-install failed after "
-                                          "retries");
-                   }
-                 });
+    reinstall_channel(state, cause, [this, id, cause] {
+      ++channels_repaired_;
+      notify_channel_event(id, ChannelEvent::kRepaired, cause);
+    });
     ++outcome.repaired;
   }
   // One boundary per repair fan-out: a failure storm's repair records sync
@@ -1233,33 +1212,18 @@ void MimicController::crash() {
 }
 
 void MimicController::adopt_channel_resources(const ChannelState& state) {
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
   for (const MFlowPlan& plan : state.flows) {
     registry_.adopt_flow_id(plan.flow_id);
+    for_each_mn_tuple(
+        plan,
+        [this](topo::NodeId mn, topo::NodeId, const HopAddresses& hop) {
+          registry_.adopt_tuples(mn, {tuple_of(hop)});
+        },
+        [this](topo::NodeId first_mn, const DecoyPlan& decoy) {
+          registry_.adopt_flow_id(decoy.flow_id);
+          registry_.adopt_tuples(first_mn, {decoy.tuple});
+        });
     const std::size_t n = plan.mn_positions.size();
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.adopt_tuples(plan.path[plan.mn_positions[j - 1]],
-                             {tuple_of(plan.forward[j])});
-    }
-    topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-    std::vector<std::size_t> rpositions;
-    for (const std::size_t pos : plan.mn_positions) {
-      rpositions.push_back(plan.path.size() - 1 - pos);
-    }
-    std::sort(rpositions.begin(), rpositions.end());
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.adopt_tuples(rpath[rpositions[j - 1]],
-                             {tuple_of(plan.reverse[j])});
-    }
-    if (!plan.mn_positions.empty()) {
-      const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-      for (const DecoyPlan& decoy : plan.decoys) {
-        registry_.adopt_flow_id(decoy.flow_id);
-        registry_.adopt_tuples(first_mn, {decoy.tuple});
-      }
-    }
     reserved_endpoints_.insert(endpoint_key(plan.forward[0].src, 0,
                                             plan.forward[0].dst,
                                             plan.forward[0].dport));
@@ -1348,10 +1312,10 @@ std::size_t MimicController::verify_channel_rules(
   std::unordered_map<std::uint32_t, const switchd::GroupEntry*>
       expected_groups;
   for (const InstallOp& op : expected) {
-    if (const auto* rule = std::get_if<switchd::FlowRule>(&op.payload)) {
+    if (const auto* rule = std::get_if<switchd::FlowRule>(&op.op)) {
       expect[op.sw].rules.push_back(rule);
     } else {
-      const auto* group = &std::get<switchd::GroupEntry>(op.payload);
+      const auto* group = &std::get<switchd::GroupEntry>(op.op);
       expect[op.sw].groups.push_back(group);
       expected_groups.emplace(group->group_id, group);
     }
@@ -1623,25 +1587,7 @@ MimicController::RecoveryReport MimicController::recover(
     for (const topo::NodeId sw : scope) {
       remove_cookie(sw, id, /*immediate=*/true);
     }
-    std::vector<InstallOp> ops;
-    for (const MFlowPlan& plan : state.flows) {
-      install_flow(id, plan, ops, next_group_);
-    }
-    state.touched_switches = touched_switches(ops);
-    const std::uint64_t new_txn = ++state.install_txn;
-    journal_.record_repair(state, next_channel_, next_group_);
-    commit_async(id, new_txn, std::move(ops),
-                 [this, id, new_txn](bool committed) {
-                   const auto cit = channels_.find(id);
-                   if (cit == channels_.end() ||
-                       cit->second.install_txn != new_txn) {
-                     return;  // superseded by a later repair or teardown
-                   }
-                   if (!committed) {
-                     lose_channel(
-                         id, "recovery: rule re-install failed after retries");
-                   }
-                 });
+    reinstall_channel(state, "recovery", nullptr);
     ++report.channels_reinstalled;
   }
 

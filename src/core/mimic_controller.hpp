@@ -8,8 +8,8 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/address_restrictions.hpp"
@@ -363,7 +363,7 @@ class MimicController : public ctrl::Controller {
   // kInstallRetryLimit attempts (mimic_controller.cpp).
   struct InstallOp {
     topo::NodeId sw;
-    std::variant<switchd::FlowRule, switchd::GroupEntry> payload;
+    switchd::TableOp op;
   };
   /// `group_alloc` is the group-id allocator: the live install paths pass
   /// next_group_, verification passes a scratch counter (group identity is
@@ -372,11 +372,10 @@ class MimicController : public ctrl::Controller {
                     std::vector<InstallOp>& ops,
                     std::uint32_t& group_alloc) const;
   PlanContext context_of(const ChannelState& state) const;
-  void install_direction(ChannelId id, const MFlowPlan& plan,
-                         const topo::Path& path,
+  void install_direction(ChannelId id, const topo::Path& path,
                          const std::vector<std::size_t>& mn_positions,
                          const std::vector<HopAddresses>& hops,
-                         const std::vector<DecoyPlan>& decoys,
+                         std::span<const DecoyPlan> decoys,
                          std::vector<InstallOp>& ops,
                          std::uint32_t& group_alloc) const;
   /// Nodes an op list touches (deduplicated) -- the rollback scope.
@@ -414,13 +413,34 @@ class MimicController : public ctrl::Controller {
   /// the rollback flow-mods land before identical rules are re-sent.
   sim::SimTime retry_delay(int attempt);
 
+  using ChannelMap = std::unordered_map<ChannelId, ChannelState>;
+
+  /// Release the middle tuples and the decoys (flow IDs and tuples) of
+  /// `plan`; its own flow ID and endpoint reservations stay.
+  void release_mn_tuples(const MFlowPlan& plan);
+  /// Release everything `plan` holds: its flow ID, then release_mn_tuples,
+  /// then its two endpoint reservations.
   void release_plan_resources(const MFlowPlan& plan);
+  /// Release every plan of the channel at `it`, erase it, and hand back
+  /// its listener (empty when none was registered).  Journal records and
+  /// rule removal stay with the caller, which orders them.
+  ChannelListener drop_channel(ChannelMap::iterator it);
   /// Tear down a live channel as failed: remove its rules, release its
   /// resources, erase it, and notify the endpoint kLost with `reason`.
   void lose_channel(ChannelId id, const std::string& reason);
-  /// Deliver `event` to the channel's listener after the control latency.
+  /// Deliver `event` to `listener` (when set), or to channel `id`'s
+  /// registered listener, after the control latency.
+  void notify_channel_event(const ChannelListener& listener,
+                            ChannelEvent event, std::string reason);
   void notify_channel_event(ChannelId id, ChannelEvent event,
                             std::string reason);
+  /// Re-issue `state`'s rules under a fresh install generation: journal a
+  /// repair record and commit asynchronously.  If the commit fails after
+  /// retries the channel is lost ("<cause>: rule re-install failed after
+  /// retries"); once every op is confirmed `on_committed` runs (may be
+  /// empty).  A superseded commit does neither.
+  void reinstall_channel(ChannelState& state, std::string cause,
+                         std::function<void()> on_committed);
   /// Common re-plan driver for fail_link/fail_switch: re-routes every
   /// channel in `affected`, committing new rules asynchronously.
   RepairOutcome repair_channels(const std::vector<ChannelId>& affected,
@@ -459,7 +479,7 @@ class MimicController : public ctrl::Controller {
 
   ChannelId next_channel_ = 1;
   std::uint32_t next_group_ = 1;
-  std::unordered_map<ChannelId, ChannelState> channels_;
+  ChannelMap channels_;
   std::unordered_map<std::string, std::pair<net::Ipv4, net::L4Port>>
       hidden_services_;
   std::unordered_map<std::uint32_t, crypto::Aes128::Key> client_keys_;

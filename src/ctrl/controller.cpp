@@ -46,38 +46,11 @@ void Controller::on_fenced_out(topo::NodeId sw) {
   log_debug("switch %u refused a stale-epoch op", sw);
 }
 
-void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule,
-                              bool immediate) {
-  ++rules_installed_;
-  if (immediate) {
-    if (!op_admitted(sw, fence_epoch_)) return;
-    const bool ok = switch_at(sw)->table().add_rule(std::move(rule));
-    MIC_ASSERT_MSG(ok, "duplicate rule rejected by flow table");
-    return;
-  }
-  network_.simulator().schedule_in(
-      kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, r = std::move(rule)]() mutable {
-        if (!op_admitted(sw, epoch)) return;
-        const bool ok = switch_at(sw)->table().add_rule(std::move(r));
-        if (!ok) log_warn("switch %u rejected duplicate rule", sw);
-      });
-}
-
-void Controller::install_group(topo::NodeId sw, switchd::GroupEntry group,
-                               bool immediate) {
-  if (immediate) {
-    if (!op_admitted(sw, fence_epoch_)) return;
-    const bool ok = switch_at(sw)->table().add_group(std::move(group));
-    MIC_ASSERT_MSG(ok, "duplicate group rejected by flow table");
-    return;
-  }
-  network_.simulator().schedule_in(
-      kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, g = std::move(group)]() mutable {
-        if (!op_admitted(sw, epoch)) return;
-        switch_at(sw)->table().add_group(std::move(g));
-      });
+void Controller::install(topo::NodeId sw, switchd::TableOp op) {
+  count_rule(op);
+  if (!op_admitted(sw, fence_epoch_)) return;
+  const bool ok = switch_at(sw)->table().add(std::move(op));
+  MIC_ASSERT_MSG(ok, "proactive install rejected by flow table");
 }
 
 void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
@@ -94,20 +67,15 @@ void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
   }
 }
 
-bool Controller::install_rule_now(topo::NodeId sw, switchd::FlowRule rule) {
-  ++rules_installed_;
+bool Controller::apply_now(topo::NodeId sw, switchd::TableOp op) {
+  count_rule(op);
   if (!op_admitted(sw, fence_epoch_)) return false;
-  return switch_at(sw)->try_install(std::move(rule));
+  return switch_at(sw)->try_install(std::move(op));
 }
 
-bool Controller::install_group_now(topo::NodeId sw, switchd::GroupEntry group) {
-  if (!op_admitted(sw, fence_epoch_)) return false;
-  return switch_at(sw)->try_install_group(std::move(group));
-}
-
-void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
-                                      std::function<void(bool)> on_result) {
-  ++rules_installed_;
+void Controller::apply_checked(topo::NodeId sw, switchd::TableOp op,
+                               std::function<void(bool)> on_result) {
+  count_rule(op);
   if (roll_control_drop()) {
     network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
@@ -115,38 +83,14 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
   }
   network_.simulator().schedule_in(
       kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, r = std::move(rule),
+      [this, sw, epoch = fence_epoch_, op = std::move(op),
        cb = std::move(on_result)]() mutable {
         const bool ok =
-            op_admitted(sw, epoch) && switch_at(sw)->try_install(std::move(r));
+            op_admitted(sw, epoch) && switch_at(sw)->try_install(std::move(op));
         if (roll_control_drop()) {
-          // The rule may be installed but the controller never learns; the
+          // The op may be installed but the controller never learns; the
           // timeout reports failure and the caller's rollback-by-cookie
           // keeps the table consistent.
-          network_.simulator().schedule_in(
-              kReplyLegTimeout, [cb = std::move(cb)] { cb(false); });
-          return;
-        }
-        network_.simulator().schedule_in(kSouthboundLatency,
-                                         [cb = std::move(cb), ok] { cb(ok); });
-      });
-}
-
-void Controller::install_group_checked(topo::NodeId sw,
-                                       switchd::GroupEntry group,
-                                       std::function<void(bool)> on_result) {
-  if (roll_control_drop()) {
-    network_.simulator().schedule_in(kSouthboundTimeout,
-                                     [cb = std::move(on_result)] { cb(false); });
-    return;
-  }
-  network_.simulator().schedule_in(
-      kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, g = std::move(group),
-       cb = std::move(on_result)]() mutable {
-        const bool ok = op_admitted(sw, epoch) &&
-                        switch_at(sw)->try_install_group(std::move(g));
-        if (roll_control_drop()) {
           network_.simulator().schedule_in(
               kReplyLegTimeout, [cb = std::move(cb)] { cb(false); });
           return;

@@ -78,34 +78,35 @@ class Controller {
 
   switchd::SdnSwitch* switch_at(topo::NodeId node);
 
-  /// Install a rule.  `immediate` bypasses the southbound latency (used for
-  /// proactive installs at startup).
-  void install_rule(topo::NodeId sw, switchd::FlowRule rule,
-                    bool immediate = false);
-  void install_group(topo::NodeId sw, switchd::GroupEntry group,
-                     bool immediate = false);
-  /// Remove every rule and group tagged with `cookie` on `sw`.
+  // --- southbound table ops -------------------------------------------------
+  //
+  // Every rule and group reaches a switch as a switchd::TableOp through one
+  // of three calls, each stamped with the fence epoch.
+
+  /// Proactive install (startup routing): immediate, bypasses the
+  /// southbound latency and fault injection, and asserts the switch
+  /// accepts.
+  void install(topo::NodeId sw, switchd::TableOp op);
+
+  /// Immediate fallible install (no latency, no drops): apply the op now
+  /// and report whether the switch accepted it.  The synchronous
+  /// transaction path in the MC builds on this.
+  bool apply_now(topo::NodeId sw, switchd::TableOp op);
+
+  /// Checked async install.  The op travels the control channel, the
+  /// switch may reject it (table full, injected fault), and the outcome
+  /// travels back.  Either message can be dropped
+  /// (set_control_drop_probability); a drop surfaces as failure after
+  /// kSouthboundTimeout.  `on_result(true)` means the op is in the table;
+  /// `on_result(false)` means it may or may not be -- the caller must roll
+  /// back by cookie before retrying.
+  void apply_checked(topo::NodeId sw, switchd::TableOp op,
+                     std::function<void(bool)> on_result);
+
+  /// Remove every rule and group tagged with `cookie` on `sw`, now or
+  /// after the southbound latency.
   void remove_cookie(topo::NodeId sw, std::uint64_t cookie,
                      bool immediate = false);
-
-  // --- checked (fallible) installs ------------------------------------------
-  //
-  // The flow-mod travels the control channel, the switch may reject it
-  // (table full, injected fault), and the outcome travels back.  Either
-  // message can be dropped (set_control_drop_probability); a drop surfaces
-  // as failure after kSouthboundTimeout.  `on_result(true)` means the rule
-  // is in the table; `on_result(false)` means it may or may not be -- the
-  // caller must roll back by cookie before retrying.
-  void install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
-                            std::function<void(bool)> on_result);
-  void install_group_checked(topo::NodeId sw, switchd::GroupEntry group,
-                             std::function<void(bool)> on_result);
-
-  /// Immediate checked installs (no latency, no drops): apply the change
-  /// now and report whether the switch accepted it.  The synchronous
-  /// transaction path in the MC builds on these.
-  bool install_rule_now(topo::NodeId sw, switchd::FlowRule rule);
-  bool install_group_now(topo::NodeId sw, switchd::GroupEntry group);
 
   /// Drop this fraction of checked-install control messages (request and
   /// reply legs independently).  Chaos-harness knob; 0 disables.
@@ -158,6 +159,7 @@ class Controller {
   /// port going down or coming back up.  Default ignores it.
   virtual void on_port_status(topo::NodeId sw, topo::PortId port, bool up);
 
+  /// Rule ops sent down any of the three install calls (groups excluded).
   std::uint64_t rules_installed() const noexcept { return rules_installed_; }
 
   /// Per-switch signatures of the last installed L3 rule set.  Owned by
@@ -171,6 +173,11 @@ class Controller {
   /// Fence gate for one mutating op arriving at `sw` stamped with `epoch`
   /// (captured when the op was sent).  Counts + reports a refusal.
   bool op_admitted(topo::NodeId sw, std::uint64_t epoch);
+
+  /// Count `op` in rules_installed() when it is a rule.
+  void count_rule(const switchd::TableOp& op) noexcept {
+    if (std::holds_alternative<switchd::FlowRule>(op)) ++rules_installed_;
+  }
 
   /// One chaos-knob dice roll for a checked-install control message;
   /// counts the drop when it happens.

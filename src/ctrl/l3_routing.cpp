@@ -119,7 +119,7 @@ std::uint64_t install_switch_rules(
         rule.match.dst = dst_ip;
         rule.actions = {switchd::PopMpls{}, switchd::Output{port}};
         rule.cookie = kL3Cookie;
-        controller.install_rule(sw, std::move(rule), /*immediate=*/true);
+        controller.install(sw, std::move(rule));
         ++installed;
         is_local = true;
         break;
@@ -145,7 +145,7 @@ std::uint64_t install_switch_rules(
         group.buckets.push_back({switchd::Output{port}});
       }
       const std::uint32_t group_id = group.group_id;
-      controller.install_group(sw, std::move(group), /*immediate=*/true);
+      controller.install(sw, std::move(group));
       ++installed;
       forward_action = switchd::GroupAction{group_id};
     }
@@ -157,7 +157,7 @@ std::uint64_t install_switch_rules(
       rule.match.dst = dst_ip;
       rule.actions = {forward_action};
       rule.cookie = kL3Cookie;
-      controller.install_rule(sw, std::move(rule), /*immediate=*/true);
+      controller.install(sw, std::move(rule));
       ++installed;
     }
 
@@ -173,7 +173,7 @@ std::uint64_t install_switch_rules(
       rule.match.require_no_mpls = true;
       rule.actions = {switchd::SetMpls{label}, forward_action};
       rule.cookie = kL3Cookie;
-      controller.install_rule(sw, std::move(rule), /*immediate=*/true);
+      controller.install(sw, std::move(rule));
       ++installed;
     }
   }

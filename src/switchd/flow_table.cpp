@@ -238,6 +238,13 @@ bool FlowTable::add_group(GroupEntry group) {
   return true;
 }
 
+bool FlowTable::add(TableOp op) {
+  if (auto* rule = std::get_if<FlowRule>(&op)) {
+    return add_rule(std::move(*rule));
+  }
+  return add_group(std::get<GroupEntry>(std::move(op)));
+}
+
 std::size_t FlowTable::remove_groups_by_cookie(std::uint64_t cookie) {
   const auto before = groups_.size();
   std::erase_if(groups_, [cookie](const GroupEntry& g) {

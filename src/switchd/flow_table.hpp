@@ -114,6 +114,11 @@ struct GroupEntry {
   std::uint64_t cookie = 0;
 };
 
+/// One southbound table mutation: a flow-mod or a group-mod.  Controllers
+/// send both kinds down the same install paths; only the table tells them
+/// apart.
+using TableOp = std::variant<FlowRule, GroupEntry>;
+
 /// The SELECT-group bucket index for a packet: a stable 5-tuple hash
 /// (labels excluded so tagging does not re-path a flow).  `salt`
 /// decorrelates decisions across group instances -- without it every
@@ -142,12 +147,13 @@ struct TableStats {
 
 class FlowTable {
  public:
-  /// Insert a rule.  Duplicate (priority, match) pairs are rejected --
-  /// this is the data-plane half of the collision avoidance story, and the
-  /// collision audit in mic/collision_audit.hpp checks it globally.
-  /// Returns false (and installs nothing) on duplicates or when the table
-  /// is at capacity (OFPFMFC_TABLE_FULL).
-  bool add_rule(FlowRule rule);
+  /// Insert a rule or a group.  Duplicate rule (priority, match) pairs
+  /// are rejected -- this is the data-plane half of the collision
+  /// avoidance story, and the collision audit in mic/collision_audit.hpp
+  /// checks it globally -- as are duplicate group ids.  Returns false (and
+  /// installs nothing) on duplicates or when a rule would exceed the
+  /// capacity (OFPFMFC_TABLE_FULL).
+  bool add(TableOp op);
 
   /// Bound the rule count (hardware TCAMs are finite); 0 = unlimited.
   void set_capacity(std::size_t max_rules) noexcept {
@@ -184,7 +190,6 @@ class FlowTable {
   /// violation to `violations`; returns the number of probes checked.
   std::size_t self_check(std::vector<std::string>& violations) const;
 
-  bool add_group(GroupEntry group);
   std::size_t remove_groups_by_cookie(std::uint64_t cookie);
   const GroupEntry* group(std::uint32_t group_id) const noexcept;
 
@@ -215,6 +220,9 @@ class FlowTable {
   struct ExactKeyHash {
     std::size_t operator()(const ExactKey& k) const noexcept;
   };
+
+  bool add_rule(FlowRule rule);
+  bool add_group(GroupEntry group);
 
   static ExactKey key_of(const net::Packet& packet,
                          topo::PortId in_port) noexcept;

@@ -45,26 +45,13 @@ void SdnSwitch::on_port_status(topo::PortId port, bool up) {
       });
 }
 
-bool SdnSwitch::try_install(FlowRule rule) {
+bool SdnSwitch::try_install(TableOp op) {
   if (install_fault_probability_ > 0.0 &&
       install_fault_rng_.chance(install_fault_probability_)) {
     ++installs_rejected_;
     return false;
   }
-  if (!table_.add_rule(std::move(rule))) {
-    ++installs_rejected_;
-    return false;
-  }
-  return true;
-}
-
-bool SdnSwitch::try_install_group(GroupEntry group) {
-  if (install_fault_probability_ > 0.0 &&
-      install_fault_rng_.chance(install_fault_probability_)) {
-    ++installs_rejected_;
-    return false;
-  }
-  if (!table_.add_group(std::move(group))) {
+  if (!table_.add(std::move(op))) {
     ++installs_rejected_;
     return false;
   }

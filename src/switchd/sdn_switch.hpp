@@ -77,12 +77,12 @@ class SdnSwitch : public net::Device {
   void receive(const net::Packet& packet, topo::PortId in_port) override;
   void on_port_status(topo::PortId port, bool up) override;
 
-  // --- fallible rule installation -------------------------------------------
+  // --- fallible installation ------------------------------------------------
   //
-  // A real switch can reject a flow-mod (table full) or lose it entirely;
-  // the fault hook lets the chaos harness inject rejection bursts.  The
-  // controller's *checked* install path consults try_install; the legacy
-  // fire-and-forget path keeps the old add_rule semantics.
+  // A real switch can reject a flow-mod or group-mod (table full) or lose
+  // it entirely; the fault hook lets the chaos harness inject rejection
+  // bursts.  The controller's fallible install paths go through
+  // try_install; its proactive path writes the table directly.
 
   /// Reject a fraction of try_install calls while active (0 disables).
   /// Seeded independently so fault schedules replay deterministically.
@@ -92,11 +92,10 @@ class SdnSwitch : public net::Device {
   }
   void clear_install_faults() noexcept { install_fault_probability_ = 0.0; }
 
-  /// Install honouring capacity, duplicates and injected faults.  Returns
-  /// false when the switch rejects (the flow-mod error the checked path
-  /// reports back to the controller).
-  bool try_install(FlowRule rule);
-  bool try_install_group(GroupEntry group);
+  /// Install a rule or group honouring capacity, duplicates and injected
+  /// faults.  Returns false when the switch rejects (the flow-mod error
+  /// the controller's fallible paths report back).
+  bool try_install(TableOp op);
 
   std::uint64_t installs_rejected() const noexcept {
     return installs_rejected_;

@@ -89,7 +89,7 @@ TEST(AuditRegistry, CatchesOrphanRuleByCookie) {
   orphan.actions = {switchd::DropAction{}};
   orphan.cookie = 0xDEADDEAD;  // neither kL3Cookie nor a live channel ID
   const topo::NodeId sw = bed.fabric.fattree().core_switches()[0];
-  bed.fabric.mc().install_rule(sw, orphan, /*immediate=*/true);
+  bed.fabric.mc().install(sw, orphan);
 
   const audit::RunReport report = audit::run_all(bed.fabric);
   EXPECT_FALSE(report.ok);
@@ -125,7 +125,7 @@ TEST(AuditRegistry, CatchesMagaPartitionViolation) {
                    switchd::Output{0}};
   rogue.cookie = bed.channel;
   const topo::NodeId sw = bed.fabric.fattree().core_switches()[0];
-  bed.fabric.mc().install_rule(sw, rogue, /*immediate=*/true);
+  bed.fabric.mc().install(sw, rogue);
 
   const audit::RunReport report = audit::run_all(bed.fabric);
   EXPECT_FALSE(report.ok);

@@ -3,6 +3,7 @@
 // packet-in subscription.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "core/fabric.hpp"
@@ -113,21 +114,30 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
   Fabric fabric;
   const topo::NodeId sw = fabric.fattree().core_switches()[0];
   const std::size_t before = fabric.mc().switch_at(sw)->table().rule_count();
+  const sim::SimTime start = fabric.simulator().now();
 
   switchd::FlowRule rule;
   rule.priority = 200;
   rule.match.src = net::Ipv4(1, 2, 3, 4);
   rule.cookie = 777;
-  fabric.mc().install_rule(sw, rule, /*immediate=*/false);
+  std::optional<bool> reported;
+  fabric.mc().apply_checked(sw, rule, [&reported](bool ok) { reported = ok; });
 
   // Not yet installed...
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
-  fabric.simulator().run_until(kSouthboundLatency / 2);
+  fabric.simulator().run_until(start + kSouthboundLatency / 2);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
-  // ...but installed after the southbound latency.
-  fabric.simulator().run_until();
+  // ...installed once the flow-mod has crossed one southbound leg, while
+  // the reply is still on its way back...
+  fabric.simulator().run_until(start + kSouthboundLatency);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before + 1);
+  EXPECT_FALSE(reported.has_value());
+  // ...and confirmed to the controller after the second leg.
+  fabric.simulator().run_until(start + 2 * kSouthboundLatency);
+  ASSERT_TRUE(reported.has_value());
+  EXPECT_TRUE(*reported);
   fabric.mc().remove_cookie(sw, 777, /*immediate=*/true);
+  EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
 }
 
 TEST(Controller, PacketInDeliveredAfterLatency) {

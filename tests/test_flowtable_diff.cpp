@@ -71,7 +71,7 @@ FlowTable random_table(Rng& rng, std::size_t rule_target) {
                                  : random_wildcard_match(rng);
     rule.actions = {Output{static_cast<topo::PortId>(rng.below(4))}};
     rule.cookie = rng.range(1, 4);
-    table.add_rule(std::move(rule));  // duplicate (priority, match) rejected
+    table.add(std::move(rule));  // duplicate (priority, match) rejected
   }
   return table;
 }
@@ -138,7 +138,7 @@ TEST(FlowTableDifferential, AgreementSurvivesRuleChurn) {
                                      : random_wildcard_match(rng);
         rule.actions = {Output{0}};
         rule.cookie = rng.range(1, 4);
-        table.add_rule(std::move(rule));
+        table.add(std::move(rule));
       }
     }
     for (int i = 0; i < 24; ++i) cases += check_one(table, rng);
@@ -158,7 +158,7 @@ TEST(FlowTableDifferential, EmptyAndWildcardOnlyTables) {
     rule.priority = pick(rng, kPriorities);
     rule.match = random_wildcard_match(rng);
     rule.actions = {Output{0}};
-    wildcards.add_rule(std::move(rule));
+    wildcards.add(std::move(rule));
   }
   EXPECT_EQ(wildcards.indexed_rule_count(), 0u);
   for (int i = 0; i < 256; ++i) check_one(wildcards, rng);
@@ -178,8 +178,8 @@ TEST(FlowTableDifferential, SameKeyDifferentPriorityKeepsBestIndexed) {
   FlowRule high = low;
   high.priority = 120;
   high.cookie = 2;
-  ASSERT_TRUE(table.add_rule(low));
-  ASSERT_TRUE(table.add_rule(high));
+  ASSERT_TRUE(table.add(low));
+  ASSERT_TRUE(table.add(high));
   EXPECT_EQ(table.indexed_rule_count(), 1u);
 
   net::Packet p;

@@ -653,7 +653,7 @@ TEST(CollisionAudit, DetectsForeignMFlowRule) {
   rogue.actions = {switchd::Output{0}};
   rogue.cookie = 0xBAD;
   const topo::NodeId sw = bed.fabric.fattree().core_switches()[0];
-  bed.fabric.mc().install_rule(sw, rogue, /*immediate=*/true);
+  bed.fabric.mc().install(sw, rogue);
 
   const AuditReport report = audit_collisions(bed.fabric.mc());
   EXPECT_FALSE(report.ok);
@@ -686,7 +686,7 @@ TEST(CollisionAudit, DetectsRewriteToInactiveFlow) {
   }
   clone.cookie = 0xC10E;
   clone.priority = static_cast<std::uint16_t>(clone.priority + 1);
-  bed.fabric.mc().install_rule(mn, clone, /*immediate=*/true);
+  bed.fabric.mc().install(mn, clone);
   bed.fabric.mc().teardown(result.channel);
 
   EXPECT_FALSE(audit_collisions(bed.fabric.mc()).ok);

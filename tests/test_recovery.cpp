@@ -467,5 +467,85 @@ TEST(CrashRecovery, SynchronouslyEstablishedChannelsRecoverInPlace) {
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
 }
 
+// --- partial multicast across repair and recovery ---------------------------
+
+TEST(CrashRecovery, DecoyChannelsReleaseEverythingAfterRepairAndRecovery) {
+  // Decoy channels (F=2, N=3, two decoys each) exercise the decoy branch of
+  // every per-MN tuple walk: generation, release on repair, re-adoption at
+  // recovery, and release at teardown.  After all three, nothing may stay
+  // allocated, and fresh decoy channels must plan collision-free.
+  RecoveryBed bed;
+  auto& mc = bed.fabric.mc();
+  const auto establish = [&](int round) {
+    std::vector<ChannelId> ids;
+    for (const std::size_t host : {0u, 1u, 4u, 5u}) {
+      EstablishRequest r;
+      r.initiator_ip = bed.fabric.ip(host);
+      r.responder_ip = bed.fabric.ip(12);
+      r.responder_port = 7000;
+      r.flow_count = 2;
+      r.mn_count = 3;
+      r.multicast_decoys = 2;
+      for (int f = 0; f < r.flow_count; ++f) {
+        r.initiator_sports.push_back(static_cast<net::L4Port>(
+            43000 + 100 * round + 10 * static_cast<int>(host) + f));
+      }
+      const EstablishResult result = mc.establish(r);
+      EXPECT_TRUE(result.ok) << result.error;
+      ids.push_back(result.channel);
+    }
+    return ids;
+  };
+  const std::vector<ChannelId> ids = establish(0);
+  ASSERT_EQ(mc.active_channel_count(), ids.size());
+  for (const ChannelId id : ids) {
+    for (const MFlowPlan& plan : mc.channel(id)->flows) {
+      ASSERT_EQ(plan.decoys.size(), 2u);
+    }
+  }
+  EXPECT_EQ(mc.registry().active_flow_count(), ids.size() * 2 * 3);
+  ASSERT_TRUE(audit::run_all(bed.fabric).ok);
+
+  // Phase 1: cut a core link on the first channel's path; its m-flows are
+  // re-planned (new middles and decoys) around the failure.
+  const MFlowPlan& plan = mc.channel(ids[0])->flows[0];
+  ASSERT_EQ(plan.path.size(), 7u);  // host, edge, agg, core, agg, edge, host
+  const topo::LinkId victim =
+      bed.fabric.network().graph().link_between(plan.path[3], plan.path[4]);
+  bed.fabric.network().set_link_up(victim, false);
+  bed.run();
+  EXPECT_GE(mc.channels_repaired(), 1u);
+  EXPECT_EQ(mc.channels_lost(), 0u);
+  EXPECT_EQ(mc.active_channel_count(), ids.size());
+  EXPECT_EQ(mc.registry().active_flow_count(), ids.size() * 2 * 3);
+  EXPECT_TRUE(audit::run_all(bed.fabric).ok);
+
+  // Phase 2: crash and recover from the journal; every channel is re-adopted
+  // with its decoys and kept in place.
+  mc.crash();
+  const auto report = mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(report.channels_recovered, ids.size());
+  EXPECT_EQ(report.channels_kept, ids.size());
+  EXPECT_EQ(report.channels_lost, 0u);
+  EXPECT_EQ(mc.registry().active_flow_count(), ids.size() * 2 * 3);
+  EXPECT_TRUE(audit::run_all(bed.fabric).ok);
+
+  bed.fabric.network().set_link_up(victim, true);
+  bed.run();
+  for (const ChannelId id : ids) mc.teardown(id);
+  bed.run();
+  EXPECT_EQ(mc.active_channel_count(), 0u);
+  EXPECT_EQ(mc.registry().active_flow_count(), 0u);
+  EXPECT_TRUE(audit::run_all(bed.fabric).ok);
+
+  // Fresh decoy channels reuse the released IDs and tuples collision-free.
+  const std::vector<ChannelId> fresh = establish(1);
+  EXPECT_EQ(mc.active_channel_count(), fresh.size());
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.check("CA-1").ok);
+  EXPECT_TRUE(audit.ok);
+}
+
 }  // namespace
 }  // namespace mic::core

@@ -72,8 +72,8 @@ TEST(FlowTable, PriorityOrderAndFirstInstalledWins) {
   high.priority = 100;
   high.match.src = net::Ipv4(10, 0, 0, 1);
   high.cookie = 2;
-  ASSERT_TRUE(table.add_rule(low));
-  ASSERT_TRUE(table.add_rule(high));
+  ASSERT_TRUE(table.add(low));
+  ASSERT_TRUE(table.add(high));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2});
   FlowRule* hit = table.lookup(p, 0, p.wire_bytes());
@@ -91,19 +91,19 @@ TEST(FlowTable, DuplicateMatchRejected) {
   FlowRule rule;
   rule.priority = 10;
   rule.match.dst = net::Ipv4(10, 0, 0, 2);
-  EXPECT_TRUE(table.add_rule(rule));
-  EXPECT_FALSE(table.add_rule(rule));
+  EXPECT_TRUE(table.add(rule));
+  EXPECT_FALSE(table.add(rule));
   EXPECT_EQ(table.rule_count(), 1u);
   // Same match at another priority is allowed.
   rule.priority = 20;
-  EXPECT_TRUE(table.add_rule(rule));
+  EXPECT_TRUE(table.add(rule));
 }
 
 TEST(FlowTable, CountersUpdateOnHit) {
   FlowTable table;
   FlowRule rule;
   rule.priority = 1;
-  ASSERT_TRUE(table.add_rule(rule));
+  ASSERT_TRUE(table.add(rule));
   auto p = make_packet({1, 1, 1, 1}, {2, 2, 2, 2});
   table.lookup(p, 0, p.wire_bytes());
   table.lookup(p, 0, p.wire_bytes());
@@ -117,7 +117,7 @@ TEST(FlowTable, RemoveByCookie) {
     FlowRule rule;
     rule.priority = static_cast<std::uint16_t>(i);
     rule.cookie = i % 2 == 0 ? 42 : 7;
-    ASSERT_TRUE(table.add_rule(rule));
+    ASSERT_TRUE(table.add(rule));
   }
   EXPECT_EQ(table.remove_by_cookie(42), 3u);
   EXPECT_EQ(table.rule_count(), 2u);
@@ -127,9 +127,9 @@ TEST(FlowTable, GroupsByCookie) {
   FlowTable table;
   GroupEntry g1{1, GroupType::kAll, {{Output{0}}}, 9};
   GroupEntry g2{2, GroupType::kAll, {{Output{1}}}, 9};
-  EXPECT_TRUE(table.add_group(g1));
-  EXPECT_TRUE(table.add_group(g2));
-  EXPECT_FALSE(table.add_group(g1));  // duplicate id
+  EXPECT_TRUE(table.add(g1));
+  EXPECT_TRUE(table.add(g2));
+  EXPECT_FALSE(table.add(g1));  // duplicate id
   EXPECT_NE(table.group(1), nullptr);
   EXPECT_EQ(table.remove_groups_by_cookie(9), 2u);
   EXPECT_EQ(table.group(1), nullptr);
@@ -172,8 +172,8 @@ TEST(FlowTable, ExactRulesAreIndexed) {
   FlowRule wildcard;
   wildcard.priority = 1;
   wildcard.cookie = 2;
-  ASSERT_TRUE(table.add_rule(exact));
-  ASSERT_TRUE(table.add_rule(wildcard));
+  ASSERT_TRUE(table.add(exact));
+  ASSERT_TRUE(table.add(wildcard));
   EXPECT_EQ(table.indexed_rule_count(), 1u);
 
   auto hit = make_packet({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 200, 7);
@@ -201,8 +201,8 @@ TEST(FlowTable, IndexedHitLosesToHigherPriorityWildcard) {
   punt.priority = 110;
   punt.match.src = net::Ipv4(10, 0, 0, 1);
   punt.cookie = 2;
-  ASSERT_TRUE(table.add_rule(exact));
-  ASSERT_TRUE(table.add_rule(punt));
+  ASSERT_TRUE(table.add(exact));
+  ASSERT_TRUE(table.add(punt));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 200, 7);
   FlowRule* rule = table.lookup(p, 0, p.wire_bytes());
@@ -221,7 +221,7 @@ TEST(FlowTable, IndexSurvivesCookieRemoval) {
     rule.match = exact_match({10, 0, 0, 1}, {10, 0, 0, 2}, 100,
                              static_cast<net::L4Port>(200 + i), 7);
     rule.cookie = i % 2 == 0 ? 5 : 6;
-    ASSERT_TRUE(table.add_rule(rule));
+    ASSERT_TRUE(table.add(rule));
   }
   EXPECT_EQ(table.indexed_rule_count(), 4u);
   EXPECT_EQ(table.remove_by_cookie(5), 2u);
@@ -303,7 +303,7 @@ TEST(SdnSwitch, RewriteAndForward) {
   rule.actions = {SetSrc{net::Ipv4(10, 9, 9, 9)},
                   SetDst{net::Ipv4(10, 8, 8, 8)}, SetSport{1111},
                   SetDport{2222}, SetMpls{0xabcd}, Output{1}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
 
   fix.network.transmit(fix.a, 0, make_packet({10, 0, 0, 1}, {10, 0, 0, 2}));
   fix.simulator.run_until();
@@ -324,7 +324,7 @@ TEST(SdnSwitch, PayloadSurvivesRewriting) {
   FlowRule rule;
   rule.priority = 10;
   rule.actions = {SetSrc{net::Ipv4(9, 9, 9, 9)}, Output{1}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2});
   p.content_tag = 0x1234567890abcdefULL;
@@ -339,7 +339,7 @@ TEST(SdnSwitch, PopMplsClearsLabel) {
   FlowRule rule;
   rule.priority = 10;
   rule.actions = {PopMpls{}, Output{1}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
   fix.network.transmit(fix.a, 0,
                        make_packet({1, 1, 1, 1}, {2, 2, 2, 2}, 1, 2, 55));
   fix.simulator.run_until();
@@ -357,11 +357,11 @@ TEST(SdnSwitch, AllGroupReplicatesWithDistinctHeaders) {
       {SetDst{net::Ipv4(10, 0, 0, 2)}, Output{1}},
       {SetDst{net::Ipv4(10, 0, 0, 3)}, Output{2}},
   };
-  ASSERT_TRUE(fix.sw_dev->table().add_group(group));
+  ASSERT_TRUE(fix.sw_dev->table().add(group));
   FlowRule rule;
   rule.priority = 10;
   rule.actions = {GroupAction{5}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 9});
   p.content_tag = 42;
@@ -384,11 +384,11 @@ TEST(SdnSwitch, SelectGroupPicksOneStableBucket) {
   group.group_id = 9;
   group.type = GroupType::kSelect;
   group.buckets = {{Output{1}}, {Output{2}}};
-  ASSERT_TRUE(fix.sw_dev->table().add_group(group));
+  ASSERT_TRUE(fix.sw_dev->table().add(group));
   FlowRule rule;
   rule.priority = 10;
   rule.actions = {GroupAction{9}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
 
   // 16 flows, 3 packets each.
   for (int flow = 0; flow < 16; ++flow) {
@@ -419,7 +419,7 @@ TEST(SdnSwitch, DropActionDiscards) {
   FlowRule rule;
   rule.priority = 10;
   rule.actions = {DropAction{}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
   fix.network.transmit(fix.a, 0, make_packet({1, 1, 1, 1}, {2, 2, 2, 2}));
   fix.simulator.run_until();
   EXPECT_EQ(fix.b_dev->received.size(), 0u);
@@ -455,7 +455,7 @@ TEST(SdnSwitch, TableStatsSurfaced) {
   rule.match = exact_match({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 200,
                            net::kNoMpls);
   rule.actions = {Output{1}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
 
   fix.network.transmit(fix.a, 0, make_packet({10, 0, 0, 1}, {10, 0, 0, 2}));
   fix.network.transmit(fix.a, 0, make_packet({9, 9, 9, 9}, {8, 8, 8, 8}));
@@ -474,7 +474,7 @@ TEST(SdnSwitch, LookupChargesCpu) {
   FlowRule rule;
   rule.priority = 1;
   rule.actions = {Output{1}};
-  ASSERT_TRUE(fix.sw_dev->table().add_rule(rule));
+  ASSERT_TRUE(fix.sw_dev->table().add(rule));
   fix.network.transmit(fix.a, 0, make_packet({1, 1, 1, 1}, {2, 2, 2, 2}));
   fix.simulator.run_until();
   EXPECT_GT(fix.sw_dev->cpu().busy_time(), 0u);
